@@ -12,21 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import dynamics, game as game_mod, local_sim, lvl, network, oracle, simgame
 from .errors import NetgameError, ValidationError
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("NETGAME_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"NETGAME_THREADS must be an integer, got {raw!r}")
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:
@@ -100,13 +91,7 @@ _CONFIG_SCHEMA = {
 def load_config(path: str) -> ExperimentConfig:
     """Load and validate an experiment config; unknown keys are rejected
     with their JSON-pointer location."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}")
+    obj = _load_json(path, "config")
     if not isinstance(obj, dict):
         raise ValidationError("config must be a JSON object")
     for key in obj:
@@ -131,51 +116,59 @@ def _config_network(config: ExperimentConfig) -> network.Network:
     if "file" in g:
         return _load_graph(g["file"])
     gen = g.get("generator")
-    if gen == "ring":
-        return network.ring(g["n"])
-    if gen == "torus":
-        return network.torus(g["n"])
-    if gen == "random_regular":
-        return network.random_regular(g["n"], g["d"], g.get("seed", 0))
-    if gen == "star_matching":
-        net, _, _ = network.star_matching(g["k"], g["d"], g.get("seed", 0))
-        return net
-    raise ValidationError(f"config /graph needs 'file' or a known 'generator', got {gen!r}")
+    if not isinstance(gen, str) or gen not in _GENERATORS:
+        raise ValidationError(f"config /graph needs 'file' or a known 'generator', got {gen!r}")
+    missing = f"config generator {gen!r} needs an integer /graph/{{}}"
+    net, _, _ = _generate(gen, g, g.get("seed", 0), missing)
+    return net
+
+
+def _star_matching(params: dict, seed: int):
+    net, _, leaf_edges = network.star_matching(params["k"], params["d"], seed)
+    return net, leaf_edges
+
+
+# Generator name (the config spelling; the CLI uses hyphens) -> its required
+# integer parameters and a builder returning the network and, for
+# star-matching only, its leaf edges.
+_GENERATORS = {
+    "ring": (("n",), lambda p, seed: (network.ring(p["n"]), None)),
+    "torus": (("n",), lambda p, seed: (network.torus(p["n"]), None)),
+    "random_regular": (
+        ("n", "d"),
+        lambda p, seed: (network.random_regular(p["n"], p["d"], seed), None),
+    ),
+    "star_matching": (("k", "d"), _star_matching),
+}
+
+
+def _generate(name: str, values: dict, seed: int, missing: str):
+    """Build generator ``name`` from the parameters in ``values``.
+
+    Returns the network, the star-matching leaf edges (None for other
+    generators) and the parameters used. ``missing`` formats the error
+    for an absent or non-integer parameter, given its name.
+    """
+    required, build = _GENERATORS[name]
+    params = {}
+    for key in required:
+        value = values.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(missing.format(key))
+        params[key] = value
+    net, leaf_edges = build(params, seed)
+    return net, leaf_edges, params
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValidationError(f"--graph {args.graph} needs --{name}")
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
-    params: dict = {}
-    leaf_edges = None
-    if args.graph == "ring":
-        _require(args, "n")
-        net = network.ring(args.n)
-        params["n"] = args.n
-    elif args.graph == "torus":
-        _require(args, "n")
-        net = network.torus(args.n)
-        params["n"] = args.n
-    elif args.graph == "random-regular":
-        _require(args, "n", "d")
-        net = network.random_regular(args.n, args.d, seed)
-        params.update(n=args.n, d=args.d)
-    elif args.graph == "star-matching":
-        _require(args, "k", "d")
-        net, _, leaves = network.star_matching(args.k, args.d, seed)
-        leaf_edges = leaves
-        params.update(k=args.k, d=args.d)
-    else:
-        raise ValidationError(f"unknown generator {args.graph!r}")
+    net, leaf_edges, params = _generate(
+        args.graph.replace("-", "_"), vars(args), seed, f"--graph {args.graph} needs --{{}}"
+    )
 
     if args.cut_girth is not None:
         if args.constraint == "leaf-edges":
@@ -189,7 +182,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             constraint = network.CycleCutConstraint.preserve_bipartition(*sides)
         else:
             constraint = network.CycleCutConstraint.unconstrained()
-        net = network.cut_short_cycles(net, args.cut_girth, constraint, seed)
+        net = network.cut_short_cycles(net, args.cut_girth, constraint)
         params["cut_girth"] = args.cut_girth
         params["constraint"] = args.constraint
     if args.double_cover:
@@ -302,9 +295,7 @@ def _cmd_poa(args: argparse.Namespace) -> int:
 def _cmd_ineff(args: argparse.Namespace) -> int:
     net = _load_graph(args.graph_file)
     g = _game_from_args(args, net)
-    report = oracle.measured_inefficiency(
-        g, args.T, args.trials, args.seed, workers=_worker_cap()
-    )
+    report = oracle.measured_inefficiency(g, args.T, args.trials, args.seed)
     payload = report.to_json()
     payload["meta"] = _meta(args)
     _write_json(args.out, payload)
@@ -328,7 +319,7 @@ def _cmd_simgame(args: argparse.Namespace) -> int:
         rng = Random(derive_seed(args.seed, "order", i))
         order = list(range(net.node_count))
         rng.shuffle(order)
-        profile = simgame.play_simulation_round(sim, tuple(order), seed=args.seed)
+        profile = simgame.play_simulation_round(sim, tuple(order))
         if any(
             simgame.simulation_utility(sim, v, profile) != 1
             for v in range(net.node_count)
@@ -397,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deterministic", action="store_true", help="omit timestamps from outputs")
 
     p = sub.add_parser("gen", help="generate a graph JSON file")
-    p.add_argument("--graph", required=True, choices=["ring", "torus", "random-regular", "star-matching"])
+    p.add_argument("--graph", required=True, choices=[g.replace("_", "-") for g in _GENERATORS])
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--k", type=int)

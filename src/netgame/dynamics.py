@@ -27,6 +27,7 @@ from .game import (
     GraphicalGame,
     Profile,
     best_responses,
+    is_nash_equilibrium,
     minority_cut_edges,
     random_profile,
     validate_profile,
@@ -277,7 +278,7 @@ def worst_case_convergence(
         key = (profile, rounds_left)
         if key in memo:
             return memo[key]
-        if _is_fixpoint(game, profile):
+        if is_nash_equilibrium(game, profile):
             result: int | Exceeded = 0
         elif rounds_left <= 1:
             # The single remaining round must contain a switch, so no
@@ -297,13 +298,6 @@ def worst_case_convergence(
         return result
 
     return worst(tuple(init), round_budget)
-
-
-def _is_fixpoint(game: GraphicalGame, profile: Profile) -> bool:
-    return all(
-        profile[v] in best_responses(game, v, profile)
-        for v in range(game.network.node_count)
-    )
 
 
 # ---------------------------------------------------------------------------

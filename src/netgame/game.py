@@ -80,17 +80,27 @@ def welfare(game: GraphicalGame, profile: Profile) -> Fraction:
     return total
 
 
+def best_response_payoffs(
+    game: GraphicalGame, v: int, nbr_vals: tuple[Action, ...]
+) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The best-response engine: ``v``'s payoff for each of its action
+    indices against the neighbor action values ``nbr_vals`` (in adjacency
+    order), and the maximizing indices in tie-break (list) order."""
+    payoffs = tuple([game.utility_fn(v, a, nbr_vals) for a in game.actions[v]])
+    top = max(payoffs)
+    return payoffs, tuple([i for i, p in enumerate(payoffs) if p == top])
+
+
 def best_responses(game: GraphicalGame, v: int, profile: Profile) -> tuple[int, ...]:
     """All action indices of ``v`` maximizing its utility given the
     neighbors' entries of ``profile``, in tie-break (list) order."""
-    nbr_vals = neighbor_values(game, v, profile)
-    payoffs = [game.utility_fn(v, a, nbr_vals) for a in game.actions[v]]
-    top = max(payoffs)
-    return tuple(i for i, p in enumerate(payoffs) if p == top)
+    return best_response_payoffs(game, v, neighbor_values(game, v, profile))[1]
 
 
 def is_nash_equilibrium(game: GraphicalGame, profile: Profile) -> bool:
-    """Definitional check: no node can gain by a unilateral deviation."""
+    """Definitional check: no node can gain by a unilateral deviation.
+
+    Independent of `best_response_payoffs`; tests use it as the reference."""
     for v in range(game.network.node_count):
         nbr_vals = neighbor_values(game, v, profile)
         current = game.utility_fn(v, game.actions[v][profile[v]], nbr_vals)

@@ -111,7 +111,6 @@ def simulate_fair_rounds(
     profile = tuple(init)
     induced_orders: list[tuple[int, ...]] = []
     for _ in range(rounds):
-        _assert_classes_independent(net, classes)
         order: list[int] = []
         for color in class_order:
             members = classes[color]
@@ -124,13 +123,3 @@ def simulate_fair_rounds(
         induced_orders.append(tuple(order))
     return profile, induced_orders
 
-
-def _assert_classes_independent(net: Network, classes: dict[int, list[int]]) -> None:
-    for members in classes.values():
-        member_set = set(members)
-        for v in members:
-            for u, d in net.bfs_distances(v, limit=2).items():
-                if 0 < d and u in member_set:
-                    raise ValidationError(
-                        f"schedule class contains {v} and {u} at distance {d}"
-                    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .game import Action, GraphicalGame, Profile
+from .game import Action, GraphicalGame, Profile, best_response_payoffs
 from .network import Network
 
 AcceptPredicate = Callable[[int, int, tuple[int, ...]], bool]
@@ -47,9 +47,7 @@ def compile_lvl(game: GraphicalGame) -> LvlSpec:
     def accept(v: int, center_label: int, neighbor_labels: tuple[int, ...]) -> bool:
         nbrs = game.network.neighbors(v)
         nbr_vals = tuple(game.actions[u][lab] for u, lab in zip(nbrs, neighbor_labels))
-        current = game.utility_fn(v, game.actions[v][center_label], nbr_vals)
-        best = max(game.utility_fn(v, a, nbr_vals) for a in game.actions[v])
-        return current == best
+        return center_label in best_response_payoffs(game, v, nbr_vals)[1]
 
     return LvlSpec(alphabet=game.actions, radius=1, accept=accept)
 

@@ -383,7 +383,6 @@ def cut_short_cycles(
     net: Network,
     g: int | str,
     constraint: CycleCutConstraint | None = None,
-    seed: int = 0,
 ) -> Network:
     """Raise the girth to at least ``g`` by degree-preserving edge swaps.
 
@@ -395,7 +394,7 @@ def cut_short_cycles(
     edges, and every swap preserves the degree sequence and the edge count.
 
     ``g = "auto"`` targets ``floor(log_d n)`` for degree ``d``. The procedure
-    is deterministic; ``seed`` is accepted for interface uniformity only.
+    is deterministic.
 
     Raises:
         ConstructionError: if no eligible far edge exists at some step

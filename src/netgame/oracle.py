@@ -1,7 +1,7 @@
 """Exhaustive and search-based ground truth.
 
 Everything here recomputes quantities from first principles: equilibria by
-scanning every profile against the deviation inequality, combinatorial
+scanning every profile against each node's best responses, combinatorial
 optima by subset search, inefficiency by measured runs. Hard size guards
 keep the exhaustive paths from silently running for hours.
 """
@@ -17,6 +17,7 @@ from .errors import GuardError, ValidationError
 from .game import (
     GraphicalGame,
     Profile,
+    best_response_payoffs,
     format_rational,
     pgg_game,
     random_profile,
@@ -106,9 +107,9 @@ def _profile_space_size(game: GraphicalGame) -> int:
 def enumerate_ne(game: GraphicalGame) -> NeReport:
     """Scan every profile; report all pure equilibria and welfare extremes.
 
-    A profile is an equilibrium iff no node's unilateral deviation raises
-    its own utility; the check is evaluated directly from the utility
-    function, with per-node response sets cached by neighbor configuration.
+    A profile is an equilibrium iff every node plays one of its best
+    responses; payoffs and best responses come from `best_response_payoffs`,
+    cached per node by neighbor configuration.
 
     Raises:
         GuardError: if the profile space exceeds ``2**21``.
@@ -122,20 +123,8 @@ def enumerate_ne(game: GraphicalGame) -> NeReport:
     n = net.node_count
     nbrs = [net.neighbors(v) for v in range(n)]
 
-    # Per node, neighbor-index tuple -> (maximizer set, payoff per own index).
-    cache: list[dict[tuple[int, ...], tuple[frozenset[int], tuple[Fraction, ...]]]] = [
-        dict() for _ in range(n)
-    ]
-
-    def responses(v: int, key: tuple[int, ...]) -> tuple[frozenset[int], tuple[Fraction, ...]]:
-        cached = cache[v].get(key)
-        if cached is None:
-            vals = tuple(game.actions[u][i] for u, i in zip(nbrs[v], key))
-            payoffs = tuple(game.utility_fn(v, a, vals) for a in game.actions[v])
-            top = max(payoffs)
-            cached = (frozenset(i for i, p in enumerate(payoffs) if p == top), payoffs)
-            cache[v][key] = cached
-        return cached
+    # Per node, neighbor-index tuple -> (payoff per own index, maximizers).
+    cache: list[dict[tuple[int, ...], tuple]] = [{} for _ in range(n)]
 
     equilibria: list[Profile] = []
     best_welfare: Fraction | None = None
@@ -147,7 +136,11 @@ def enumerate_ne(game: GraphicalGame) -> NeReport:
         total = Fraction(0)
         for v in range(n):
             key = tuple(profile[u] for u in nbrs[v])
-            best, payoffs = responses(v, key)
+            cached = cache[v].get(key)
+            if cached is None:
+                vals = tuple(game.actions[u][i] for u, i in zip(nbrs[v], key))
+                cached = cache[v][key] = best_response_payoffs(game, v, vals)
+            payoffs, best = cached
             if profile[v] not in best:
                 is_ne = False
             total += payoffs[profile[v]]
@@ -194,33 +187,6 @@ def poa_pgg_instance(d: int, k: int, c: Fraction, seed: int) -> NeReport:
         if profile not in report.equilibria:
             raise ValidationError(f"expected {name} equilibrium missing from enumeration")
     return report
-
-
-def max_welfare_exhaustive(game: GraphicalGame) -> Fraction:
-    """Exact global welfare maximum by profile enumeration (guarded)."""
-    size = _profile_space_size(game)
-    if size > ENUMERATION_GUARD:
-        raise GuardError(
-            f"profile space {size} exceeds enumeration guard {ENUMERATION_GUARD}"
-        )
-    net = game.network
-    n = net.node_count
-    nbrs = [net.neighbors(v) for v in range(n)]
-    cache: list[dict[tuple[int, ...], tuple[Fraction, ...]]] = [dict() for _ in range(n)]
-    best: Fraction | None = None
-    for profile in itertools.product(*(range(len(a)) for a in game.actions)):
-        total = Fraction(0)
-        for v in range(n):
-            key = tuple(profile[u] for u in nbrs[v])
-            payoffs = cache[v].get(key)
-            if payoffs is None:
-                vals = tuple(game.actions[u][i] for u, i in zip(nbrs[v], key))
-                payoffs = tuple(game.utility_fn(v, a, vals) for a in game.actions[v])
-                cache[v][key] = payoffs
-            total += payoffs[profile[v]]
-        if best is None or total > best:
-            best = total
-    return best
 
 
 def combinatorial_optima(net: Network) -> tuple[int, int, int]:
@@ -277,7 +243,7 @@ def optimum_welfare_upper_bound(game: GraphicalGame) -> Fraction:
     """Certified upper bound on achievable welfare: exact when the profile
     space is enumerable, else a game-specific closed form."""
     if _profile_space_size(game) <= ENUMERATION_GUARD:
-        return max_welfare_exhaustive(game)
+        return enumerate_ne(game).best_welfare
     net = game.network
     n = net.node_count
     if game.name == "pgg":
@@ -298,16 +264,14 @@ def optimum_welfare_upper_bound(game: GraphicalGame) -> Fraction:
 
 
 def measured_inefficiency(
-    game: GraphicalGame, T: int, trials: int, seed: int, workers: int = 1
+    game: GraphicalGame, T: int, trials: int, seed: int
 ) -> InefficiencyReport:
     """Mean welfare after exactly ``T`` fair rounds from uniform random
     initial profiles, against the certified optimum upper bound.
 
     Trial ``i`` draws its initial profile and its per-round schedules from
     seeds derived as ``(seed, "trial", i)`` and ``(seed, "schedule", i)``,
-    so adding rounds keeps the comparison paired. Trials are independent
-    and may fan out over ``workers`` threads; results are merged by trial
-    index, so the report does not depend on the worker count.
+    so adding rounds keeps the comparison paired.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -328,13 +292,7 @@ def measured_inefficiency(
         )
         return trace.welfare_per_round[-1]
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(i) for i in range(trials)]
+    results = [one_trial(i) for i in range(trials)]
     mean = sum(results, Fraction(0)) / trials
     ratio = bound / mean if mean > 0 else None
     return InefficiencyReport(

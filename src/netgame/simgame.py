@@ -313,14 +313,8 @@ def simulation_fair_round(
     return profile, switches
 
 
-def play_simulation_round(
-    sim: SimulationGame, order: tuple[int, ...], seed: int = 0
-) -> SimProfile:
-    """One fair round from the all-empty profile; every utility ends at 1.
-
-    The construction is deterministic; ``seed`` is part of the interface
-    for schedule generators and is unused here.
-    """
+def play_simulation_round(sim: SimulationGame, order: tuple[int, ...]) -> SimProfile:
+    """One fair round from the all-empty profile; every utility ends at 1."""
     profile, _ = simulation_fair_round(sim, empty_profile(sim), order)
     for v in range(sim.network.node_count):
         if simulation_utility(sim, v, profile) != 1:

@@ -200,24 +200,20 @@ def test_criterion_06_graph_constructions_certified():
         assert is_perfect_dominating_set(net, centers)
 
     base = random_regular(64, 3, seed=7)
-    cut = cut_short_cycles(base, 6, seed=1)
+    cut = cut_short_cycles(base, 6)
     assert girth(cut) >= 6
     assert degree_multiset(cut) == (3,) * 64
     assert cut.edge_count == base.edge_count
 
     stars, centers, leaf_edges = star_matching(16, 3, seed=5)
-    cut_stars = cut_short_cycles(
-        stars, 6, CycleCutConstraint.leaf_edges_only(leaf_edges), seed=2
-    )
+    cut_stars = cut_short_cycles(stars, 6, CycleCutConstraint.leaf_edges_only(leaf_edges))
     assert girth(cut_stars) >= 6
     assert degree_multiset(cut_stars) == (3,) * 64
     assert is_perfect_dominating_set(cut_stars, centers)
 
     bip = bipartite_double_cover(random_regular(32, 3, seed=11))
     sides = two_coloring(bip)
-    cut_bip = cut_short_cycles(
-        bip, 6, CycleCutConstraint.preserve_bipartition(*sides), seed=3
-    )
+    cut_bip = cut_short_cycles(bip, 6, CycleCutConstraint.preserve_bipartition(*sides))
     assert girth(cut_bip) >= 6
     assert two_coloring(cut_bip) is not None
     assert degree_multiset(cut_bip) == (3,) * 64

@@ -225,6 +225,17 @@ def test_config_rejects_unknown_keys_with_pointer(tmp_path):
         load_config(str(path))
 
 
+def test_config_generator_missing_parameter_names_pointer(tmp_path, capsys):
+    cfg = make_config(tmp_path, graph={"generator": "ring"})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "/graph/n" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_config_missing_graph_file_names_path(tmp_path):
     cfg = make_config(tmp_path, graph={"file": str(tmp_path / "nope.json")})
     path = tmp_path / "cfg.json"

@@ -160,7 +160,7 @@ def test_star_matching_infeasible_odd_leaves():
 def test_cut_short_cycles_unconstrained():
     net = random_regular(64, 3, seed=7)
     assert girth(net) == 3
-    out = cut_short_cycles(net, 5, seed=1)
+    out = cut_short_cycles(net, 5)
     assert girth(out) >= 5
     assert degree_multiset(out) == degree_multiset(net)
     assert out.edge_count == net.edge_count
@@ -170,26 +170,26 @@ def test_cut_short_cycles_preserves_bipartition():
     net = bipartite_double_cover(random_regular(24, 3, seed=2))
     sides = two_coloring(net)
     assert sides is not None
-    out = cut_short_cycles(net, 6, CycleCutConstraint.preserve_bipartition(*sides), seed=4)
+    out = cut_short_cycles(net, 6, CycleCutConstraint.preserve_bipartition(*sides))
     assert girth(out) >= 6
     assert two_coloring(out) is not None
 
 
 def test_cut_short_cycles_leaf_edges_keep_domination():
     net, centers, leaf_edges = star_matching(16, 3, seed=5)
-    out = cut_short_cycles(net, 6, CycleCutConstraint.leaf_edges_only(leaf_edges), seed=6)
+    out = cut_short_cycles(net, 6, CycleCutConstraint.leaf_edges_only(leaf_edges))
     assert girth(out) >= 6
     assert is_perfect_dominating_set(out, centers)
 
 
 def test_cut_short_cycles_impossible_target_errors():
     with pytest.raises(ConstructionError):
-        cut_short_cycles(ring(6), 10, seed=0)
+        cut_short_cycles(ring(6), 10)
 
 
 def test_cut_short_cycles_auto_girth_target():
     net = random_regular(82, 3, seed=12)
-    out = cut_short_cycles(net, "auto", seed=0)
+    out = cut_short_cycles(net, "auto")
     # floor(log_3 82) = 4
     assert girth(out) >= 4
     assert degree_multiset(out) == degree_multiset(net)
