@@ -44,7 +44,7 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}")
 
 
@@ -52,17 +52,11 @@ def _load_graph(path: str) -> network.Network:
     return network.graph_from_json(_load_json(path, "graph"))
 
 
-def _game_from_args(args: argparse.Namespace, net: network.Network) -> game_mod.GraphicalGame:
-    desc: dict = {"game": args.game}
-    if args.game == "pgg":
-        if args.c is None:
-            raise ValidationError("pgg needs --c p/q with 0 < c < 1")
-        desc["c"] = args.c
-    if args.game == "coloring":
-        if args.k is None:
-            raise ValidationError("coloring needs --k >= 2")
-        desc["k"] = args.k
-    return game_mod.game_from_descriptor(desc, net)
+def _game_descriptor(args: argparse.Namespace) -> dict:
+    """The game descriptor spelled by ``--game``, ``--c`` and ``--k``. The
+    flags are shared, so one for a parameter the game lacks is ignored."""
+    params = game_mod.GAME_KINDS[args.game][0] if args.game is not None else {}
+    return {"game": args.game, **{key: getattr(args, key) for key in params}}
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +65,8 @@ def _game_from_args(args: argparse.Namespace, net: network.Network) -> game_mod.
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run configuration; round-trips through JSON losslessly."""
+    """The graph, game and dynamics sections of a run, from a config file or
+    translated from ``run`` flags; round-trips through JSON losslessly."""
 
     graph: dict
     game: dict
@@ -84,13 +79,11 @@ class ExperimentConfig:
 _CONFIG_SCHEMA = {
     "graph": {"file", "generator", "n", "d", "k", "seed"},
     "game": {"game", "c", "k"},
-    "dynamics": {"policy", "seed", "init", "max_rounds", "trials"},
+    "dynamics": {"policy", "seed", "init", "max_rounds"},
 }
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Load and validate an experiment config; unknown keys are rejected
-    with their JSON-pointer location."""
+def _read_config(path: str) -> ExperimentConfig:
     obj = _load_json(path, "config")
     if not isinstance(obj, dict):
         raise ValidationError("config must be a JSON object")
@@ -105,22 +98,49 @@ def load_config(path: str) -> ExperimentConfig:
         for key in obj[section]:
             if key not in allowed:
                 raise ValidationError(f"unknown config key at /{section}/{key}")
-    config = ExperimentConfig(graph=obj["graph"], game=obj["game"], dynamics=obj["dynamics"])
-    net = _config_network(config)  # validate eagerly, including guards
-    game_mod.game_from_descriptor(config.game, net)
+    return ExperimentConfig(graph=obj["graph"], game=obj["game"], dynamics=obj["dynamics"])
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Load and validate an experiment config; unknown keys and mistyped
+    fields are rejected with their JSON-pointer location."""
+    config = _read_config(path)
+    _build_run(config)  # validate eagerly, including guards
     return config
 
 
-def _config_network(config: ExperimentConfig) -> network.Network:
-    g = config.graph
-    if "file" in g:
-        return _load_graph(g["file"])
-    gen = g.get("generator")
-    if not isinstance(gen, str) or gen not in _GENERATORS:
-        raise ValidationError(f"config /graph needs 'file' or a known 'generator', got {gen!r}")
-    missing = f"config generator {gen!r} needs an integer /graph/{{}}"
-    net, _, _ = _generate(gen, g, g.get("seed", 0), missing)
-    return net
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    if args.graph_file is None:
+        raise ValidationError("run needs --graph-file or --config")
+    dyn = {"policy": args.policy, "seed": args.seed, "init": args.init, "max_rounds": args.max_rounds}
+    return ExperimentConfig({"file": args.graph_file}, _game_descriptor(args), dyn)
+
+
+def _build_run(config: ExperimentConfig) -> tuple:
+    """Validate ``config`` and build the arguments of `dynamics.run`: the
+    game (on the network, built once), the initial profile, the schedule
+    policy and the round cap."""
+    net = _config_network(config.graph)
+    g = game_mod.game_from_descriptor(config.game, net, "/game/")
+    dyn = config.dynamics
+    seed = game_mod.typed_field(dyn, "seed", int, "/dynamics/", 0)
+    init = dyn.get("init", "random")
+    if init != "random" and not (isinstance(init, list) and all(type(x) is int for x in init)):
+        raise ValidationError(f"/dynamics/init must be 'random' or a list of indices, got {init!r}")
+    init = dynamics.RandomInit(seed) if init == "random" else tuple(init)
+    if game_mod.typed_field(dyn, "policy", ("random", "fixed"), "/dynamics/", "random") == "random":
+        policy = dynamics.FreshRandomEachRound(seed)
+    else:
+        policy = dynamics.FixedOrder(tuple(range(net.node_count)))
+    return g, init, policy, game_mod.typed_field(dyn, "max_rounds", int, "/dynamics/", None)
+
+
+def _config_network(graph: dict) -> network.Network:
+    if "file" in graph:
+        return _load_graph(game_mod.typed_field(graph, "file", str, "/graph/"))
+    gen = game_mod.typed_field(graph, "generator", tuple(_GENERATORS), "/graph/")
+    seed = game_mod.typed_field(graph, "seed", int, "/graph/", 0)
+    return _generate(gen, graph, seed, "/graph/")[0]
 
 
 def _star_matching(params: dict, seed: int):
@@ -142,20 +162,15 @@ _GENERATORS = {
 }
 
 
-def _generate(name: str, values: dict, seed: int, missing: str):
-    """Build generator ``name`` from the parameters in ``values``.
+def _generate(name: str, values: dict, seed: int, prefix: str):
+    """Build generator ``name`` from the integer parameters in ``values``.
 
     Returns the network, the star-matching leaf edges (None for other
-    generators) and the parameters used. ``missing`` formats the error
-    for an absent or non-integer parameter, given its name.
+    generators) and the parameters used. Errors name a parameter as
+    ``prefix + key``.
     """
     required, build = _GENERATORS[name]
-    params = {}
-    for key in required:
-        value = values.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(missing.format(key))
-        params[key] = value
+    params = {key: game_mod.typed_field(values, key, int, prefix) for key in required}
     net, leaf_edges = build(params, seed)
     return net, leaf_edges, params
 
@@ -166,9 +181,7 @@ def _generate(name: str, values: dict, seed: int, missing: str):
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
-    net, leaf_edges, params = _generate(
-        args.graph.replace("-", "_"), vars(args), seed, f"--graph {args.graph} needs --{{}}"
-    )
+    net, leaf_edges, params = _generate(args.graph.replace("-", "_"), vars(args), seed, "--")
 
     if args.cut_girth is not None:
         if args.constraint == "leaf-edges":
@@ -200,44 +213,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_from_args(args: argparse.Namespace, n: int) -> dynamics.SchedulePolicy:
-    if args.policy == "random":
-        return dynamics.FreshRandomEachRound(args.seed)
-    if args.policy == "fixed":
-        return dynamics.FixedOrder(tuple(range(n)))
-    raise ValidationError(f"unknown policy {args.policy!r}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        config = load_config(args.config)
-        net = _config_network(config)
-        g = game_mod.game_from_descriptor(config.game, net)
-        dyn = config.dynamics
-        seed = dyn.get("seed", 0)
-        policy = (
-            dynamics.FreshRandomEachRound(seed)
-            if dyn.get("policy", "random") == "random"
-            else dynamics.FixedOrder(tuple(range(net.node_count)))
-        )
-        init = (
-            dynamics.RandomInit(seed)
-            if dyn.get("init", "random") == "random"
-            else tuple(dyn["init"])
-        )
-        max_rounds = dyn.get("max_rounds")
-    else:
-        if args.graph_file is None:
-            raise ValidationError("run needs --graph-file or --config")
-        net = _load_graph(args.graph_file)
-        g = _game_from_args(args, net)
-        policy = _policy_from_args(args, net.node_count)
-        init = dynamics.RandomInit(args.seed) if args.init == "random" else None
-        if init is None:
-            raise ValidationError(f"unknown init {args.init!r}")
-        max_rounds = args.max_rounds
-
-    trace = dynamics.run(g, init, policy, max_rounds=max_rounds)
+    config = _read_config(args.config) if args.config is not None else _config_from_args(args)
+    trace = dynamics.run(*_build_run(config))
     csv_text = dynamics.trace_to_csv(trace)
     meta = _meta(
         args,
@@ -256,7 +234,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     net = _load_graph(args.graph_file)
-    g = _game_from_args(args, net)
+    g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
     profile = dynamics.profile_from_json(_load_json(args.profile, "profile"), g)
     verdict = lvl.verify(lvl.compile_lvl(g), net, profile)
     payload = verdict.to_json()
@@ -283,7 +261,7 @@ def _cmd_poa(args: argparse.Namespace) -> int:
         if args.graph_file is None or args.game is None:
             raise ValidationError("poa --family enumerate needs --graph-file and --game")
         net = _load_graph(args.graph_file)
-        g = _game_from_args(args, net)
+        g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
         payload = oracle.enumerate_ne(g).to_json(max_listed=args.max_listed)
     else:
         raise ValidationError(f"unknown poa family {args.family!r}")
@@ -294,7 +272,7 @@ def _cmd_poa(args: argparse.Namespace) -> int:
 
 def _cmd_ineff(args: argparse.Namespace) -> int:
     net = _load_graph(args.graph_file)
-    g = _game_from_args(args, net)
+    g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
     report = oracle.measured_inefficiency(g, args.T, args.trials, args.seed)
     payload = report.to_json()
     payload["meta"] = _meta(args)
@@ -355,7 +333,7 @@ def _cmd_local_sim(args: argparse.Namespace) -> int:
     from .seeds import derive_seed
 
     net = _load_graph(args.graph_file)
-    g = _game_from_args(args, net)
+    g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
     coloring = local_sim.distance_coloring(net, 2)
     init = game_mod.random_profile(g, Random(derive_seed(args.seed, "init")))
     final, orders = local_sim.simulate_fair_rounds(g, init, coloring, args.rounds)
@@ -387,6 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--deterministic", action="store_true", help="omit timestamps from outputs")
 
+    def game_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+        p.add_argument("--game", required=required, choices=list(game_mod.GAME_KINDS))
+        p.add_argument("--c", help="production cost p/q for pgg")
+        p.add_argument("--k", type=int, help="color count for coloring")
+
     p = sub.add_parser("gen", help="generate a graph JSON file")
     p.add_argument("--graph", required=True, choices=[g.replace("_", "-") for g in _GENERATORS])
     p.add_argument("--n", type=int)
@@ -402,9 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("run", help="run fair-round best-response dynamics")
-    p.add_argument("--game", choices=["pgg", "minority", "coloring"])
-    p.add_argument("--c", help="production cost p/q for pgg")
-    p.add_argument("--k", type=int, help="color count for coloring")
+    game_flags(p, required=False)
     p.add_argument("--graph-file")
     p.add_argument("--policy", choices=["random", "fixed"], default="random")
     p.add_argument("--init", default="random")
@@ -417,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("verify", help="verify a labeling with the compiled local checker")
-    p.add_argument("--game", required=True, choices=["pgg", "minority", "coloring"])
-    p.add_argument("--c")
-    p.add_argument("--k", type=int)
+    game_flags(p)
     p.add_argument("--graph-file", required=True)
     p.add_argument("--profile", required=True, help="profile JSON path")
     p.add_argument("--out", required=True)
@@ -428,11 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poa", help="exhaustive equilibrium and price-of-anarchy reports")
     p.add_argument("--family", required=True, choices=["pgg-instance", "minority-instance", "enumerate"])
+    game_flags(p, required=False)
     p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--game", choices=["pgg", "minority", "coloring"])
     p.add_argument("--graph-file")
     p.add_argument("--max-listed", type=int, default=1000, help="cap on listed equilibria")
     p.add_argument("--out", required=True)
@@ -440,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_poa)
 
     p = sub.add_parser("ineff", help="measured round-limited inefficiency report")
-    p.add_argument("--game", required=True, choices=["pgg", "minority", "coloring"])
-    p.add_argument("--c")
-    p.add_argument("--k", type=int)
+    game_flags(p)
     p.add_argument("--graph-file", required=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
@@ -470,9 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_frozen)
 
     p = sub.add_parser("local-sim", help="schedule-driven parallel replay of fair rounds")
-    p.add_argument("--game", required=True, choices=["pgg", "minority", "coloring"])
-    p.add_argument("--c")
-    p.add_argument("--k", type=int)
+    game_flags(p)
     p.add_argument("--graph-file", required=True)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -489,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NetgameError as exc:
+    except (NetgameError, OSError) as exc:  # OSError: an input or output file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

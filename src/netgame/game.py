@@ -8,7 +8,7 @@ utility evaluation is pure, so instances are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Callable
@@ -29,16 +29,15 @@ class GraphicalGame:
     ``utility_fn(v, own_value, neighbor_values)`` sees only the closed
     neighborhood: the node, its own action value, and the action values of
     its neighbors in adjacency order. Locality is therefore enforced by
-    the interface shape.
+    the interface shape. ``name`` is the built-in kind and ``params`` its
+    exact parameters (``c`` for pgg, ``k`` for coloring).
     """
 
     network: Network
     actions: tuple[tuple[Action, ...], ...]
     utility_fn: UtilityFn
     name: str
-
-    def action_value(self, v: int, idx: int) -> Action:
-        return self.actions[v][idx]
+    params: dict = field(hash=False)
 
     def action_index(self, v: int, value: Action) -> int:
         return self.actions[v].index(value)
@@ -133,7 +132,7 @@ def pgg_game(net: Network, c: Fraction) -> GraphicalGame:
         return covered if "P" in nbrs else uncovered
 
     actions = tuple(("F", "P") for _ in range(net.node_count))
-    return GraphicalGame(net, actions, u, "pgg")
+    return GraphicalGame(net, actions, u, "pgg", {"c": c})
 
 
 def minority_game(net: Network) -> GraphicalGame:
@@ -150,49 +149,74 @@ def minority_game(net: Network) -> GraphicalGame:
         return Fraction(1 + differ - same)
 
     actions = tuple((-1, 1) for _ in range(net.node_count))
-    return GraphicalGame(net, actions, u, "minority")
+    return GraphicalGame(net, actions, u, "minority", {})
 
 
 def coloring_game(net: Network, k: int) -> GraphicalGame:
     """Coordination game on ``k >= 2`` colors: utility 1 iff no neighbor
     picks the same color."""
-    if not isinstance(k, int) or k < 2:
-        raise ValidationError(f"coloring game needs k >= 2, got {k}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise ValidationError(f"coloring game needs an integer k >= 2, got {k!r}")
 
     def u(v: int, own: Action, nbrs: tuple[Action, ...]) -> Fraction:
         return Fraction(0) if own in nbrs else Fraction(1)
 
     actions = tuple(tuple(range(1, k + 1)) for _ in range(net.node_count))
-    return GraphicalGame(net, actions, u, "coloring")
+    return GraphicalGame(net, actions, u, "coloring", {"k": k})
 
 
-_DESCRIPTOR_KEYS = {"pgg": {"game", "c"}, "minority": {"game"}, "coloring": {"game", "k"}}
+# Built-in game kind -> its parameter types (see `typed_field`) and builder.
+# Builders look the constructors up when called, so module wrappers apply.
+GAME_KINDS = {
+    "pgg": ({"c": Fraction}, lambda net, p: pgg_game(net, p["c"])),
+    "minority": ({}, lambda net, p: minority_game(net)),
+    "coloring": ({"k": int}, lambda net, p: coloring_game(net, p["k"])),
+}
 
 
-def game_from_descriptor(desc: dict, net: Network) -> GraphicalGame:
-    """Build a game from the JSON descriptor ``{"game", "c"?, "k"?}``."""
-    if not isinstance(desc, dict) or "game" not in desc:
-        raise ValidationError("game descriptor must be an object with a 'game' field")
-    kind = desc["game"]
-    if kind not in _DESCRIPTOR_KEYS:
-        raise ValidationError(f"unknown game kind {kind!r}")
+def game_from_descriptor(desc: dict, net: Network, prefix: str = "/") -> GraphicalGame:
+    """Build a game from the JSON descriptor ``{"game", "c"?, "k"?}``.
+    Errors name a field as ``prefix + key`` (see `typed_field`)."""
+    if not isinstance(desc, dict):
+        raise ValidationError("game descriptor must be an object")
+    kind = typed_field(desc, "game", tuple(GAME_KINDS), prefix)
+    types, build = GAME_KINDS[kind]
     for key in desc:
-        if key not in _DESCRIPTOR_KEYS[kind]:
-            raise ValidationError(f"key {key!r} is not valid for a {kind} descriptor")
-    if kind == "pgg":
-        if "c" not in desc:
-            raise ValidationError("pgg descriptor needs 'c'")
-        return pgg_game(net, parse_rational(desc["c"]))
-    if kind == "minority":
-        return minority_game(net)
-    if "k" not in desc:
-        raise ValidationError("coloring descriptor needs 'k'")
-    return coloring_game(net, desc["k"])
+        if key != "game" and key not in types:
+            raise ValidationError(f"{prefix}{key} is not a {kind} parameter")
+    return build(net, {key: typed_field(desc, key, t, prefix) for key, t in types.items()})
+
+
+_REQUIRED = object()
+
+
+def typed_field(section: dict, key: str, kind, prefix: str, default=_REQUIRED):
+    """``section[key]`` checked against ``kind``: ``int`` (never a bool), ``str``,
+    ``Fraction`` (``"p/q"`` text or an integer, returned parsed) or a tuple of
+    allowed values; absent or null gives ``default`` if one is given. Errors
+    name the field ``prefix + key``, a JSON pointer (``/game/k``) or flag (``--k``)."""
+    value = section.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if isinstance(kind, tuple):
+        ok, expected = value in kind, "one of " + ", ".join(map(repr, kind))
+    elif kind is Fraction:
+        try:
+            return parse_rational(value)
+        except ValidationError:
+            ok, expected = False, "a rational 'p/q'"
+    else:
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+        expected = "an integer" if kind is int else "a string"
+    if not ok:
+        got = "nothing" if value is None else repr(value)
+        raise ValidationError(f"{prefix}{key} must be {expected}, got {got}")
+    return value
 
 
 def parse_rational(text) -> Fraction:
     """Parse exact ``"p/q"`` (or integer) text into a Fraction."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValidationError(f"rational must be 'p/q' text, got {text!r}")

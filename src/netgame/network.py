@@ -559,13 +559,13 @@ def graph_from_json(obj: dict) -> Network:
         if key not in obj:
             raise ValidationError(f"graph JSON missing field {key!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # JSON booleans load as bool, an int subclass
         raise ValidationError("graph JSON field 'n' must be a nonnegative integer")
     if not isinstance(obj["edges"], list):
         raise ValidationError("graph JSON field 'edges' must be a list of pairs")
     seen: set[Edge] = set()
     for item in obj["edges"]:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
             raise ValidationError(f"malformed edge entry {item!r}")
         u, v = item
         if not u < v:
@@ -574,7 +574,7 @@ def graph_from_json(obj: dict) -> Network:
             raise ValidationError(f"duplicate edge [{u}, {v}]")
         seen.add((u, v))
     net = Network.from_edges(n, seen)
-    if net.max_degree != obj["max_degree"]:
+    if type(obj["max_degree"]) is not int or net.max_degree != obj["max_degree"]:
         raise ValidationError(
             f"declared max_degree {obj['max_degree']} != actual {net.max_degree}"
         )

@@ -248,9 +248,8 @@ def optimum_welfare_upper_bound(game: GraphicalGame) -> Fraction:
     n = net.node_count
     if game.name == "pgg":
         # welfare = n - c * |producers| for fully covered profiles, and any
-        # producer set must dominate, so gamma >= n/(max_degree+1); the cost
-        # c is recovered from a producer's payoff 1 - c.
-        c = Fraction(1) - game.utility_fn(0, "P", ())
+        # producer set must dominate, so gamma >= n/(max_degree+1).
+        c = game.params["c"]
         if n <= 24:
             gamma, _, _ = combinatorial_optima(net)
         else:

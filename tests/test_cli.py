@@ -251,3 +251,73 @@ def test_run_from_config(tmp_path):
     traj = tmp_path / "traj.csv"
     assert run_cli("run", "--config", str(path), "--out", str(traj)) == 0
     assert traj.read_text().startswith("round,welfare_num")
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--graph", "ring", "--n", "4", "--out", str(g))
+    code = run_cli(
+        "run", "--game", "minority", "--graph-file", str(g),
+        "--out", str(tmp_path / "missing-dir" / "t.csv"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing-dir" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "section, fields, pointer",
+    [
+        ("dynamics", {"max_rounds": "5"}, "/dynamics/max_rounds"),
+        ("dynamics", {"max_rounds": True}, "/dynamics/max_rounds"),
+        ("dynamics", {"seed": "x"}, "/dynamics/seed"),
+        ("dynamics", {"init": 5}, "/dynamics/init"),
+        ("dynamics", {"policy": "bogus"}, "/dynamics/policy"),
+        ("dynamics", {"trials": 7}, "/dynamics/trials"),
+        ("graph", {"generator": "random_regular", "n": 6, "d": 3, "seed": True}, "/graph/seed"),
+        ("game", {"game": "coloring", "k": "3"}, "/game/k"),
+    ],
+)
+def test_config_field_faults_name_pointer(tmp_path, capsys, section, fields, pointer):
+    cfg = make_config(tmp_path)
+    cfg[section] = fields if section != "dynamics" else {**cfg["dynamics"], **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and pointer in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, game, dyn",
+    [
+        (["--game", "pgg", "--c", "1/2"], {"game": "pgg", "c": "1/2"}, {}),
+        (["--game", "minority", "--max-rounds", "1"], {"game": "minority"}, {"max_rounds": 1}),
+        (["--game", "coloring", "--k", "3", "--policy", "fixed"], {"game": "coloring", "k": 3},
+         {"policy": "fixed"}),
+    ],
+)
+def test_flag_run_matches_config_run(tmp_path, flags, game, dyn):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--graph", "random-regular", "--n", "30", "--d", "3", "--seed", "2", "--out", str(g))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"file": str(g)}, "game": game, "dynamics": {"seed": 9, **dyn}}))
+    outs = {}
+    for label, argv in (
+        ("flags", [*flags, "--graph-file", str(g), "--seed", "9"]),
+        ("config", ["--config", str(cfg)]),
+    ):
+        csv, prof = tmp_path / f"{label}.csv", tmp_path / f"{label}.json"
+        assert run_cli("run", *argv, "--deterministic", "--out", str(csv), "--profile-out", str(prof)) == 0
+        outs[label] = csv.read_bytes(), json.loads(prof.read_text())
+    assert outs["flags"][0] == outs["config"][0]
+    # meta records each run's own arguments; the rest of the profile file,
+    # and the run summary in meta, must agree.
+    flag_prof, config_prof = outs["flags"][1], outs["config"][1]
+    flag_meta, config_meta = flag_prof.pop("meta"), config_prof.pop("meta")
+    assert flag_prof == config_prof
+    for key in ("converged", "convergence_round", "rounds_executed"):
+        assert flag_meta[key] == config_meta[key]

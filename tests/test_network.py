@@ -286,6 +286,9 @@ def test_graph_json_round_trip():
         lambda o: o["edges"].append([0, 0]),
         lambda o: o.update(edges=17),
         lambda o: o["edges"].append([0, "x"]),
+        lambda o: o.update(n=True, edges=[], max_degree=0),  # JSON true is not an int
+        lambda o: o.update(n=2, edges=[[False, True]], max_degree=1),
+        lambda o: o.update(n=2, edges=[[0, 1]], max_degree=True),
     ],
 )
 def test_graph_json_rejects_malformed(mangle):
