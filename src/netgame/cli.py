@@ -125,14 +125,24 @@ def _build_run(config: ExperimentConfig) -> tuple:
     dyn = config.dynamics
     seed = game_mod.typed_field(dyn, "seed", int, "/dynamics/", 0)
     init = dyn.get("init", "random")
-    if init != "random" and not (isinstance(init, list) and all(type(x) is int for x in init)):
+    if init == "random":
+        init = dynamics.RandomInit(seed)
+    elif isinstance(init, list):
+        init = tuple(init)
+        try:
+            game_mod.validate_profile(g, init)
+        except ValidationError as exc:
+            raise ValidationError(f"/dynamics/init: {exc}") from None
+    else:
         raise ValidationError(f"/dynamics/init must be 'random' or a list of indices, got {init!r}")
-    init = dynamics.RandomInit(seed) if init == "random" else tuple(init)
     if game_mod.typed_field(dyn, "policy", ("random", "fixed"), "/dynamics/", "random") == "random":
         policy = dynamics.FreshRandomEachRound(seed)
     else:
         policy = dynamics.FixedOrder(tuple(range(net.node_count)))
-    return g, init, policy, game_mod.typed_field(dyn, "max_rounds", int, "/dynamics/", None)
+    max_rounds = game_mod.typed_field(dyn, "max_rounds", int, "/dynamics/", None)
+    if max_rounds is not None and max_rounds < 1:
+        raise ValidationError(f"/dynamics/max_rounds must be >= 1, got {max_rounds}")
+    return g, init, policy, max_rounds
 
 
 def _config_network(graph: dict) -> network.Network:

@@ -18,6 +18,7 @@ distinct runs share no mutable state and may execute in parallel.
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -110,26 +111,44 @@ def preferred_best_response(game: GraphicalGame, profile: Profile, v: int) -> in
     return profile[v] if profile[v] in best else best[0]
 
 
-def _step_unchecked(game: GraphicalGame, profile: Profile, v: int) -> Profile:
-    choice = preferred_best_response(game, profile, v)
-    if choice == profile[v]:
-        return profile
-    return profile[:v] + (choice,) + profile[v + 1 :]
+def _sweep(game: GraphicalGame, profile: Profile, order: Sequence[int]) -> tuple[Profile, int]:
+    """Play ``order`` once, unvalidated: each node in turn switches to its
+    preferred best response. Returns the final profile and the switch count.
+
+    The profile is copied to one list and updated in place, so a switch
+    costs O(1). In the anti-coordination game every switch must add to the
+    cut; with two actions that holds iff the switcher now differs from more
+    than half of its neighbors. `preferred_best_response` is looked up per
+    call, so a wrapper installed on this module (as ``bench/tracer.py``
+    does) sees every step.
+    """
+    current = list(profile)
+    actions = game.actions
+    check_cut = game.name == "minority"
+    switches = 0
+    for v in order:
+        choice = preferred_best_response(game, current, v)
+        if choice != current[v]:
+            current[v] = choice
+            switches += 1
+            if check_cut:
+                own, nbrs = actions[v][choice], game.network.neighbors(v)
+                if 2 * sum(1 for u in nbrs if actions[u][current[u]] != own) <= len(nbrs):
+                    raise SimulationFault("anti-coordination switch failed to add a cut edge")
+    return tuple(current), switches
 
 
 def step(game: GraphicalGame, profile: Profile, v: int) -> Profile:
     """One node plays: ``profile`` with ``v``'s entry best-responded."""
     validate_profile(game, profile)
-    return _step_unchecked(game, profile, v)
+    return _sweep(game, profile, (v,))[0]
 
 
 def fair_round(game: GraphicalGame, profile: Profile, order: tuple[int, ...]) -> Profile:
     """Sequential composition of `step` in the given order."""
     validate_profile(game, profile)
     _validate_order(game.network.node_count, order)
-    for v in order:
-        profile = _step_unchecked(game, profile, v)
-    return profile
+    return _sweep(game, profile, order)[0]
 
 
 def default_max_rounds(n: int) -> int:
@@ -172,18 +191,7 @@ def run(
     for round_index in range(1, max_rounds + 1):
         order = _round_order(policy, round_index, n)
         _validate_order(n, order)
-        switches = 0
-        for v in order:
-            before = profile[v]
-            if track_cuts:
-                cut_before = _local_cut(game, profile, v)
-            profile = _step_unchecked(game, profile, v)
-            if profile[v] != before:
-                switches += 1
-                if track_cuts and _local_cut(game, profile, v) < cut_before + 1:
-                    raise SimulationFault(
-                        "anti-coordination switch failed to add a cut edge"
-                    )
+        profile, switches = _sweep(game, profile, order)
         rounds_executed = round_index
         welfares.append(welfare(game, profile))
         switch_counts.append(switches)
@@ -224,13 +232,6 @@ def _round_order(policy: SchedulePolicy, round_index: int, n: int) -> tuple[int,
             )
         return tuple(policy.orders[round_index - 1])
     raise ValidationError(f"unknown schedule policy {policy!r}")
-
-
-def _local_cut(game: GraphicalGame, profile: Profile, v: int) -> int:
-    own = game.actions[v][profile[v]]
-    return sum(
-        1 for u in game.network.neighbors(v) if game.actions[u][profile[u]] != own
-    )
 
 
 def _check_pgg_round(game: GraphicalGame, profile: Profile, round_index: int) -> None:
@@ -287,8 +288,7 @@ def worst_case_convergence(
         else:
             worst_tail = 0
             for order in perms:
-                nxt = fair_round(game, profile, order)
-                tail = worst(nxt, rounds_left - 1)
+                tail = worst(_sweep(game, profile, order)[0], rounds_left - 1)
                 if isinstance(tail, Exceeded):
                     worst_tail = EXCEEDED
                     break
@@ -326,8 +326,8 @@ def profile_to_json(profile: Profile) -> dict:
 
 
 def profile_from_json(obj: dict, game: GraphicalGame) -> Profile:
-    if not isinstance(obj, dict) or "profile" not in obj:
-        raise ValidationError("profile JSON must be an object with a 'profile' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("profile"), list):
+        raise ValidationError("profile JSON must be an object with a 'profile' list")
     profile = tuple(obj["profile"])
     validate_profile(game, profile)
     return profile

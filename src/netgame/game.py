@@ -49,7 +49,7 @@ def validate_profile(game: GraphicalGame, profile: Profile) -> None:
             f"profile has {len(profile)} entries for {game.network.node_count} nodes"
         )
     for v, idx in enumerate(profile):
-        if not isinstance(idx, int) or not 0 <= idx < len(game.actions[v]):
+        if type(idx) is not int or not 0 <= idx < len(game.actions[v]):
             raise ValidationError(f"profile entry {idx!r} invalid for node {v}")
 
 

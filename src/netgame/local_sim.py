@@ -106,20 +106,13 @@ def simulate_fair_rounds(
     classes: dict[int, list[int]] = {}
     for v in range(net.node_count):
         classes.setdefault(coloring.colors[v], []).append(v)
-    class_order = sorted(classes)
+    schedule = [classes[color] for color in sorted(classes)]
 
-    profile = tuple(init)
-    induced_orders: list[tuple[int, ...]] = []
+    profile = list(init)
     for _ in range(rounds):
-        order: list[int] = []
-        for color in class_order:
-            members = classes[color]
-            snapshot = profile
-            updates = {v: preferred_best_response(game, snapshot, v) for v in members}
-            profile = tuple(
-                updates.get(v, profile[v]) for v in range(net.node_count)
-            )
-            order.extend(members)
-        induced_orders.append(tuple(order))
-    return profile, induced_orders
-
+        for members in schedule:
+            moves = [preferred_best_response(game, profile, v) for v in members]
+            for v, choice in zip(members, moves):
+                profile[v] = choice
+    order = tuple(v for members in schedule for v in members)
+    return tuple(profile), [order] * rounds

@@ -59,7 +59,7 @@ def verify(spec: LvlSpec, net: Network, labels: Profile) -> Verdict:
             f"labeling has {len(labels)} entries for {net.node_count} nodes"
         )
     for v, lab in enumerate(labels):
-        if not isinstance(lab, int) or not 0 <= lab < len(spec.alphabet[v]):
+        if type(lab) is not int or not 0 <= lab < len(spec.alphabet[v]):
             raise ValidationError(f"label {lab!r} invalid for node {v}")
     violations = []
     for v in range(net.node_count):

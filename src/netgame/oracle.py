@@ -23,7 +23,7 @@ from .game import (
     random_profile,
     welfare,
 )
-from .dynamics import FreshRandomEachRound, RandomInit, preferred_best_response, run
+from .dynamics import FreshRandomEachRound, RandomInit, _sweep, run
 from .network import Network, bipartite_double_cover, star_matching
 from .seeds import derive_seed
 
@@ -342,8 +342,9 @@ def find_frozen_configuration(
     Randomized restarts: draw a uniform profile, run best-response sweeps
     to a fixpoint (each switch strictly increases the number of conflict-free
     nodes, so sweeps always terminate), and inspect the fixpoint. Every
-    best-response evaluation consumes one unit of ``budget``. Returns None
-    when the budget runs out.
+    best-response evaluation consumes one unit of ``budget``, charged one
+    whole sweep at a time: a sweep that cannot finish within the remaining
+    budget is not started. Returns None when the budget runs out.
     """
     from .game import coloring_game
 
@@ -357,22 +358,14 @@ def find_frozen_configuration(
         rng = Random(derive_seed(seed, "restart", restart))
         restart += 1
         profile = random_profile(game, rng)
-        while steps < budget:
+        switches = 1
+        while switches:
+            if steps + n > budget:
+                return None
             order = list(range(n))
             rng.shuffle(order)
-            switched = False
-            for v in order:
-                if steps >= budget:
-                    return None
-                steps += 1
-                choice = preferred_best_response(game, profile, v)
-                if choice != profile[v]:
-                    profile = profile[:v] + (choice,) + profile[v + 1 :]
-                    switched = True
-            if not switched:
-                break
-        else:
-            return None
+            profile, switches = _sweep(game, profile, order)
+            steps += n
         if not is_proper_coloring(game, profile):
             return profile
     return None

@@ -148,6 +148,22 @@ def test_verify_with_malformed_profile_exits_1(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("profile", [5, [True, False, True, False]])
+def test_verify_with_mistyped_profile_exits_1(tmp_path, capsys, profile):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--graph", "ring", "--n", "4", "--out", str(g))
+    prof = tmp_path / "p.json"
+    prof.write_text(json.dumps({"profile": profile}))
+    code = run_cli(
+        "verify", "--game", "pgg", "--c", "1/2", "--graph-file", str(g),
+        "--profile", str(prof), "--out", str(tmp_path / "v.json"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -277,6 +293,9 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
         ("dynamics", {"trials": 7}, "/dynamics/trials"),
         ("graph", {"generator": "random_regular", "n": 6, "d": 3, "seed": True}, "/graph/seed"),
         ("game", {"game": "coloring", "k": "3"}, "/game/k"),
+        ("dynamics", {"init": [0, 1]}, "/dynamics/init"),
+        ("dynamics", {"init": [0, 1, 0, 1, 2, 0]}, "/dynamics/init"),
+        ("dynamics", {"max_rounds": 0}, "/dynamics/max_rounds"),
     ],
 )
 def test_config_field_faults_name_pointer(tmp_path, capsys, section, fields, pointer):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -11,6 +12,8 @@ from netgame.dynamics import (
     FixedOrder,
     FreshRandomEachRound,
     RandomInit,
+    _round_order,
+    default_max_rounds,
     fair_round,
     profile_from_json,
     profile_to_json,
@@ -27,7 +30,7 @@ from netgame.game import (
     utility,
     welfare,
 )
-from netgame.network import random_regular, ring, torus
+from netgame.network import Network, random_regular, ring, torus
 from conftest import path_graph, star_graph
 
 HALF = Fraction(1, 2)
@@ -257,3 +260,50 @@ def test_star_graph_two_round_worst_case():
         init = tuple(bits >> v & 1 for v in range(5))
         value = worst_case_convergence(g, init, 3)
         assert not isinstance(value, Exceeded) and value <= 2
+
+
+def reference_round(game, profile, order):
+    """Test-only sequential round, independent of the engine: each node in
+    turn evaluates `utility` for every action, keeps its current action if
+    that is a maximizer and otherwise takes the first maximizer."""
+    switches = 0
+    for v in order:
+        payoffs = [
+            utility(game, v, profile[:v] + (a,) + profile[v + 1 :])
+            for a in range(len(game.actions[v]))
+        ]
+        top = max(payoffs)
+        if payoffs[profile[v]] != top:
+            profile = profile[:v] + (payoffs.index(top),) + profile[v + 1 :]
+            switches += 1
+    return profile, switches
+
+
+@pytest.mark.parametrize(
+    "make_game",
+    [lambda net: pgg_game(net, HALF), minority_game, lambda net: coloring_game(net, 3)],
+    ids=["pgg", "minority", "coloring"],
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_fair_round_and_run_match_reference_round(make_game, seed):
+    rng = Random(seed)
+    n = rng.randrange(6, 20)
+    net = Network.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
+    g = make_game(net)
+    profile = tuple(rng.randrange(len(g.actions[v])) for v in range(n))
+    policy = FreshRandomEachRound(seed)
+    trace = run(g, profile, policy)
+
+    switches, welfares = [], [welfare(g, profile)]
+    for r in range(1, default_max_rounds(n) + 1):
+        order = _round_order(policy, r, n)
+        expected, count = reference_round(g, profile, order)
+        assert fair_round(g, profile, order) == expected
+        profile = expected
+        switches.append(count)
+        welfares.append(welfare(g, profile))
+        if count == 0:
+            break
+    assert trace.final == profile
+    assert trace.switches_per_round == tuple(switches)
+    assert trace.welfare_per_round == tuple(welfares)

@@ -213,6 +213,18 @@ def test_frozen_configuration_is_a_fixpoint():
         assert current == profile
 
 
+@pytest.mark.parametrize("seed, enough", [(1, 144), (3, 756)])
+def test_frozen_configuration_budget_boundary(seed, enough):
+    # A sweep that cannot finish within the remaining budget is not started:
+    # the smallest sufficient budget finds what an ample one does, one less
+    # finds nothing.
+    net = torus(6)
+    found = find_frozen_configuration(net, 4, seed=seed, budget=10**6)
+    assert found is not None
+    assert find_frozen_configuration(net, 4, seed=seed, budget=enough) == found
+    assert find_frozen_configuration(net, 4, seed=seed, budget=enough - 1) is None
+
+
 def test_frozen_configuration_not_found_for_k5():
     net = torus(6)
     assert find_frozen_configuration(net, 5, seed=1, budget=5 * 10**4) is None
