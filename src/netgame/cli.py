@@ -15,9 +15,11 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from random import Random
 
 from . import dynamics, game as game_mod, local_sim, lvl, network, oracle, simgame
 from .errors import NetgameError, ValidationError
+from .seeds import derive_seed
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:
@@ -55,7 +57,7 @@ def _load_graph(path: str) -> network.Network:
 def _game_descriptor(args: argparse.Namespace) -> dict:
     """The game descriptor spelled by ``--game``, ``--c`` and ``--k``. The
     flags are shared, so one for a parameter the game lacks is ignored."""
-    params = game_mod.GAME_KINDS[args.game][0] if args.game is not None else {}
+    params = game_mod.GAME_KINDS[args.game].param_types if args.game is not None else {}
     return {"game": args.game, **{key: getattr(args, key) for key in params}}
 
 
@@ -112,7 +114,13 @@ def load_config(path: str) -> ExperimentConfig:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.graph_file is None:
         raise ValidationError("run needs --graph-file or --config")
-    dyn = {"policy": args.policy, "seed": args.seed, "init": args.init, "max_rounds": args.max_rounds}
+    init = args.init
+    if init != "random":
+        try:
+            init = [int(x) for x in init.split(",")]
+        except ValueError:
+            raise ValidationError(f"--init must be 'random' or 'i,j,...', got {init!r}") from None
+    dyn = {"policy": args.policy, "seed": args.seed, "init": init, "max_rounds": args.max_rounds}
     return ExperimentConfig({"file": args.graph_file}, _game_descriptor(args), dyn)
 
 
@@ -291,32 +299,23 @@ def _cmd_ineff(args: argparse.Namespace) -> int:
 
 
 def _cmd_simgame(args: argparse.Namespace) -> int:
-    from random import Random
-
-    from .seeds import derive_seed
-
     net = network.ring(args.n)
     base = game_mod.pgg_game(net, game_mod.parse_rational(args.c))
     algo = simgame.greedy_mis_normal_form(net.max_degree)
     sim = simgame.build_simulation_game(base, algo)
     verifier = lvl.compile_lvl(base)
 
-    one_round = True
     projection_ok = True
     for i in range(args.orders):
         rng = Random(derive_seed(args.seed, "order", i))
         order = list(range(net.node_count))
         rng.shuffle(order)
+        # raises unless every agent ends the round at utility 1
         profile = simgame.play_simulation_round(sim, tuple(order))
-        if any(
-            simgame.simulation_utility(sim, v, profile) != 1
-            for v in range(net.node_count)
-        ):
-            one_round = False
         projection = simgame.project(sim, profile)
         if not lvl.verify(verifier, net, projection).accepted:
             projection_ok = False
-    payload = simgame.simulation_report(sim, one_round, projection_ok)
+    payload = simgame.simulation_report(sim, True, projection_ok)
     payload["orders_tested"] = args.orders
     payload["meta"] = _meta(args)
     _write_json(args.out, payload)
@@ -338,10 +337,6 @@ def _cmd_frozen(args: argparse.Namespace) -> int:
 
 
 def _cmd_local_sim(args: argparse.Namespace) -> int:
-    from random import Random
-
-    from .seeds import derive_seed
-
     net = _load_graph(args.graph_file)
     g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
     coloring = local_sim.distance_coloring(net, 2)
@@ -398,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     game_flags(p, required=False)
     p.add_argument("--graph-file")
     p.add_argument("--policy", choices=["random", "fixed"], default="random")
-    p.add_argument("--init", default="random")
+    p.add_argument("--init", default="random", help="'random' or action indices 'i,j,...'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rounds", type=int)
     p.add_argument("--config", help="experiment config JSON (overrides other flags)")

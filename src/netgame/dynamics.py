@@ -6,10 +6,10 @@ otherwise it takes the first maximizer in the fixed action order. With
 this tie rule a round with zero switches is exactly a Nash equilibrium,
 which is how convergence is detected.
 
-The engine also enforces two structural run-time checks: every switch in
-the anti-coordination game must raise the global cut-edge count, and in
-the public-goods game the producer set must be independent after round 1
-and a maximal independent set from round 2 on.
+The engine also enforces each game kind's run-time invariants (see
+`game.GameKind`): every switch in the anti-coordination game must raise
+the cut-edge count, and in the public-goods game the producer set must be
+independent after round 1 and a maximal independent set from round 2 on.
 
 A single run is strictly sequential (the model is sequential play);
 distinct runs share no mutable state and may execute in parallel.
@@ -21,15 +21,15 @@ import io
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, log2
 from random import Random
 
-from .errors import SimulationFault, ValidationError
+from .errors import ValidationError
 from .game import (
     GraphicalGame,
     Profile,
     best_responses,
     is_nash_equilibrium,
-    minority_cut_edges,
     random_profile,
     validate_profile,
     welfare,
@@ -116,25 +116,20 @@ def _sweep(game: GraphicalGame, profile: Profile, order: Sequence[int]) -> tuple
     preferred best response. Returns the final profile and the switch count.
 
     The profile is copied to one list and updated in place, so a switch
-    costs O(1). In the anti-coordination game every switch must add to the
-    cut; with two actions that holds iff the switcher now differs from more
-    than half of its neighbors. `preferred_best_response` is looked up per
-    call, so a wrapper installed on this module (as ``bench/tracer.py``
-    does) sees every step.
+    costs O(1); the game kind's ``check_switch`` runs after each switch.
+    `preferred_best_response` is looked up per call, so a wrapper installed
+    on this module (as ``bench/tracer.py`` does) sees every step.
     """
     current = list(profile)
-    actions = game.actions
-    check_cut = game.name == "minority"
+    check_switch = game.kind.check_switch
     switches = 0
     for v in order:
         choice = preferred_best_response(game, current, v)
         if choice != current[v]:
             current[v] = choice
             switches += 1
-            if check_cut:
-                own, nbrs = actions[v][choice], game.network.neighbors(v)
-                if 2 * sum(1 for u in nbrs if actions[u][current[u]] != own) <= len(nbrs):
-                    raise SimulationFault("anti-coordination switch failed to add a cut edge")
+            if check_switch is not None:
+                check_switch(game, current, v)
     return tuple(current), switches
 
 
@@ -152,8 +147,6 @@ def fair_round(game: GraphicalGame, profile: Profile, order: tuple[int, ...]) ->
 
 
 def default_max_rounds(n: int) -> int:
-    from math import ceil, log2
-
     return 10 * ceil(log2(n + 1)) + 10
 
 
@@ -180,10 +173,10 @@ def run(
     if max_rounds < 1:
         raise ValidationError("max_rounds must be >= 1")
 
-    track_cuts = game.name == "minority"
+    kind = game.kind
     welfares = [welfare(game, profile)]
     switch_counts: list[int] = []
-    cuts = [minority_cut_edges(game, profile)] if track_cuts else None
+    cuts = [kind.cut_edges(game, profile)] if kind.cut_edges is not None else None
 
     converged = False
     convergence_round: int | None = None
@@ -195,10 +188,10 @@ def run(
         rounds_executed = round_index
         welfares.append(welfare(game, profile))
         switch_counts.append(switches)
-        if track_cuts:
-            cuts.append(minority_cut_edges(game, profile))
-        if game.name == "pgg":
-            _check_pgg_round(game, profile, round_index)
+        if cuts is not None:
+            cuts.append(kind.cut_edges(game, profile))
+        if kind.check_round is not None:
+            kind.check_round(game, profile, round_index)
         if switches == 0:
             # A zero-switch round means the entering profile was already an
             # equilibrium, so every earlier round contained a switch.
@@ -212,7 +205,7 @@ def run(
         convergence_round=convergence_round,
         welfare_per_round=tuple(welfares),
         switches_per_round=tuple(switch_counts),
-        cut_edges_per_round=tuple(cuts) if track_cuts else None,
+        cut_edges_per_round=tuple(cuts) if cuts is not None else None,
         final=profile,
     )
 
@@ -232,22 +225,6 @@ def _round_order(policy: SchedulePolicy, round_index: int, n: int) -> tuple[int,
             )
         return tuple(policy.orders[round_index - 1])
     raise ValidationError(f"unknown schedule policy {policy!r}")
-
-
-def _check_pgg_round(game: GraphicalGame, profile: Profile, round_index: int) -> None:
-    net = game.network
-    producers = {v for v in range(net.node_count) if game.actions[v][profile[v]] == "P"}
-    for v in producers:
-        if any(u in producers for u in net.neighbors(v)):
-            raise SimulationFault(
-                f"producer set not independent after round {round_index}"
-            )
-    if round_index >= 2:
-        for v in range(net.node_count):
-            if v not in producers and not any(u in producers for u in net.neighbors(v)):
-                raise SimulationFault(
-                    f"producer set not maximal after round {round_index}"
-                )
 
 
 def worst_case_convergence(

@@ -13,13 +13,29 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-from .errors import ValidationError
+from .errors import SimulationFault, ValidationError
 from .network import Network
 
 Action = object  # an action value, e.g. "P", -1, or a color number
 Profile = tuple[int, ...]  # one action index per node
 
 UtilityFn = Callable[[int, Action, tuple[Action, ...]], Fraction]
+
+
+@dataclass(frozen=True, eq=False)
+class GameKind:
+    """A built-in game kind as data: parameter types (see `typed_field`), builder,
+    closed-form welfare upper bound, and run-time invariants: ``check_switch(game,
+    profile, v)`` after each switch, ``check_round(game, profile, round)`` after
+    each round, and ``cut_edges(game, profile)`` for a per-round trace column."""
+
+    name: str
+    param_types: dict
+    build: Callable[[Network, dict], GraphicalGame]
+    welfare_bound: Callable[[GraphicalGame], Fraction]
+    check_switch: Callable | None = None
+    check_round: Callable | None = None
+    cut_edges: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -29,15 +45,19 @@ class GraphicalGame:
     ``utility_fn(v, own_value, neighbor_values)`` sees only the closed
     neighborhood: the node, its own action value, and the action values of
     its neighbors in adjacency order. Locality is therefore enforced by
-    the interface shape. ``name`` is the built-in kind and ``params`` its
+    the interface shape. ``kind`` is the built-in kind and ``params`` its
     exact parameters (``c`` for pgg, ``k`` for coloring).
     """
 
     network: Network
     actions: tuple[tuple[Action, ...], ...]
     utility_fn: UtilityFn
-    name: str
+    kind: GameKind
     params: dict = field(hash=False)
+
+    @property
+    def name(self) -> str:
+        return self.kind.name
 
     def action_index(self, v: int, value: Action) -> int:
         return self.actions[v].index(value)
@@ -132,7 +152,7 @@ def pgg_game(net: Network, c: Fraction) -> GraphicalGame:
         return covered if "P" in nbrs else uncovered
 
     actions = tuple(("F", "P") for _ in range(net.node_count))
-    return GraphicalGame(net, actions, u, "pgg", {"c": c})
+    return GraphicalGame(net, actions, u, GAME_KINDS["pgg"], {"c": c})
 
 
 def minority_game(net: Network) -> GraphicalGame:
@@ -149,7 +169,7 @@ def minority_game(net: Network) -> GraphicalGame:
         return Fraction(1 + differ - same)
 
     actions = tuple((-1, 1) for _ in range(net.node_count))
-    return GraphicalGame(net, actions, u, "minority", {})
+    return GraphicalGame(net, actions, u, GAME_KINDS["minority"], {})
 
 
 def coloring_game(net: Network, k: int) -> GraphicalGame:
@@ -162,15 +182,66 @@ def coloring_game(net: Network, k: int) -> GraphicalGame:
         return Fraction(0) if own in nbrs else Fraction(1)
 
     actions = tuple(tuple(range(1, k + 1)) for _ in range(net.node_count))
-    return GraphicalGame(net, actions, u, "coloring", {"k": k})
+    return GraphicalGame(net, actions, u, GAME_KINDS["coloring"], {"k": k})
 
 
-# Built-in game kind -> its parameter types (see `typed_field`) and builder.
-# Builders look the constructors up when called, so module wrappers apply.
+def _pgg_welfare_bound(game: GraphicalGame) -> Fraction:
+    # welfare = n - c * |producers| for fully covered profiles, and any
+    # producer set must dominate, so gamma >= n/(max_degree+1).
+    net, n = game.network, game.network.node_count
+    if n <= 24:
+        from .oracle import combinatorial_optima  # oracle imports this module
+
+        gamma = combinatorial_optima(net)[0]
+    else:
+        gamma = -((-n) // (net.max_degree + 1))
+    return Fraction(n) - game.params["c"] * gamma
+
+
+def _check_producer_round(game: GraphicalGame, profile: Profile, r: int) -> None:
+    """Best-shot public goods: the producers are independent after round 1
+    and a maximal independent set from round 2 on."""
+    net = game.network
+    producers = {v for v in range(net.node_count) if game.actions[v][profile[v]] == "P"}
+    for v in sorted(producers):
+        clash = producers.intersection(net.neighbors(v))
+        if clash:
+            raise SimulationFault(
+                f"producer set not independent after round {r}: nodes {v} and {min(clash)} produce"
+            )
+    for v in range(net.node_count) if r >= 2 else ():
+        if v not in producers and producers.isdisjoint(net.neighbors(v)):
+            raise SimulationFault(f"producer set not maximal after round {r}: node {v} is uncovered")
+
+
+def _check_cut_switch(game: GraphicalGame, profile: Profile, v: int) -> None:
+    """Anti-coordination: the cut is a potential, so a switch by ``v`` must add
+    to it; with two actions, iff ``v`` now differs from most of its neighbors."""
+    actions, nbrs = game.actions, game.network.neighbors(v)
+    own = actions[v][profile[v]]
+    if 2 * sum(1 for u in nbrs if actions[u][profile[u]] != own) <= len(nbrs):
+        raise SimulationFault(f"anti-coordination switch of node {v} failed to add a cut edge")
+
+
+def minority_cut_edges(game: GraphicalGame, profile: Profile) -> int:
+    """Number of edges whose endpoints play different actions."""
+    acts = game.actions
+    return sum(1 for u, v in game.network.edges() if acts[u][profile[u]] != acts[v][profile[v]])
+
+
+# Built-in game kinds by name. Builders and `minority_cut_edges` are looked
+# up when called, so module wrappers apply.
 GAME_KINDS = {
-    "pgg": ({"c": Fraction}, lambda net, p: pgg_game(net, p["c"])),
-    "minority": ({}, lambda net, p: minority_game(net)),
-    "coloring": ({"k": int}, lambda net, p: coloring_game(net, p["k"])),
+    kind.name: kind
+    for kind in (
+        GameKind("pgg", {"c": Fraction}, lambda net, p: pgg_game(net, p["c"]),
+                 _pgg_welfare_bound, check_round=_check_producer_round),
+        GameKind("minority", {}, lambda net, p: minority_game(net),
+                 lambda g: Fraction((g.network.max_degree + 1) * g.network.node_count),
+                 check_switch=_check_cut_switch, cut_edges=lambda g, p: minority_cut_edges(g, p)),
+        GameKind("coloring", {"k": int}, lambda net, p: coloring_game(net, p["k"]),
+                 lambda g: Fraction(g.network.node_count)),
+    )
 }
 
 
@@ -179,12 +250,12 @@ def game_from_descriptor(desc: dict, net: Network, prefix: str = "/") -> Graphic
     Errors name a field as ``prefix + key`` (see `typed_field`)."""
     if not isinstance(desc, dict):
         raise ValidationError("game descriptor must be an object")
-    kind = typed_field(desc, "game", tuple(GAME_KINDS), prefix)
-    types, build = GAME_KINDS[kind]
+    kind = GAME_KINDS[typed_field(desc, "game", tuple(GAME_KINDS), prefix)]
     for key in desc:
-        if key != "game" and key not in types:
-            raise ValidationError(f"{prefix}{key} is not a {kind} parameter")
-    return build(net, {key: typed_field(desc, key, t, prefix) for key, t in types.items()})
+        if key != "game" and key not in kind.param_types:
+            raise ValidationError(f"{prefix}{key} is not a {kind.name} parameter")
+    params = {key: typed_field(desc, key, t, prefix) for key, t in kind.param_types.items()}
+    return kind.build(net, params)
 
 
 _REQUIRED = object()
@@ -228,17 +299,3 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-# ---------------------------------------------------------------------------
-# Minority-game cut bookkeeping
-
-
-def minority_cut_edges(game: GraphicalGame, profile: Profile) -> int:
-    """Number of edges whose endpoints play different actions."""
-    net = game.network
-    count = 0
-    for u, v in net.edges():
-        if game.actions[u][profile[u]] != game.actions[v][profile[v]]:
-            count += 1
-    return count

@@ -18,7 +18,9 @@ from .game import (
     GraphicalGame,
     Profile,
     best_response_payoffs,
+    coloring_game,
     format_rational,
+    minority_cut_edges,
     pgg_game,
     random_profile,
     welfare,
@@ -241,25 +243,10 @@ def combinatorial_optima(net: Network) -> tuple[int, int, int]:
 
 def optimum_welfare_upper_bound(game: GraphicalGame) -> Fraction:
     """Certified upper bound on achievable welfare: exact when the profile
-    space is enumerable, else a game-specific closed form."""
+    space is enumerable, else the game kind's closed form."""
     if _profile_space_size(game) <= ENUMERATION_GUARD:
         return enumerate_ne(game).best_welfare
-    net = game.network
-    n = net.node_count
-    if game.name == "pgg":
-        # welfare = n - c * |producers| for fully covered profiles, and any
-        # producer set must dominate, so gamma >= n/(max_degree+1).
-        c = game.params["c"]
-        if n <= 24:
-            gamma, _, _ = combinatorial_optima(net)
-        else:
-            gamma = -((-n) // (net.max_degree + 1))
-        return Fraction(n) - c * gamma
-    if game.name == "minority":
-        return Fraction((net.max_degree + 1) * n)
-    if game.name == "coloring":
-        return Fraction(n)
-    raise GuardError(f"no closed-form welfare bound for game {game.name!r}")
+    return game.kind.welfare_bound(game)
 
 
 def measured_inefficiency(
@@ -306,11 +293,7 @@ def measured_inefficiency(
 
 def is_proper_coloring(game: GraphicalGame, profile: Profile) -> bool:
     """True iff no edge is monochromatic under the profile's action values."""
-    net = game.network
-    return all(
-        game.actions[u][profile[u]] != game.actions[v][profile[v]]
-        for u, v in net.edges()
-    )
+    return minority_cut_edges(game, profile) == game.network.edge_count
 
 
 def proper_coloring_exists(net: Network, k: int) -> bool:
@@ -346,8 +329,6 @@ def find_frozen_configuration(
     whole sweep at a time: a sweep that cannot finish within the remaining
     budget is not started. Returns None when the budget runs out.
     """
-    from .game import coloring_game
-
     if k < 2:
         raise ValidationError("frozen-configuration search needs k >= 2")
     game = coloring_game(net, k)
@@ -374,7 +355,7 @@ def find_frozen_configuration(
 def minority_poa_report(game: GraphicalGame) -> dict:
     """Exhaustive anti-coordination report, comparing the enumerated ratio
     with the closed-form candidate ``2*(d+1)`` and flagging a mismatch."""
-    if game.name != "minority":
+    if game.kind.cut_edges is None:  # the cut marks the anti-coordination kind
         raise ValidationError("minority_poa_report needs a minority game")
     report = enumerate_ne(game)
     d = game.network.max_degree

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 from .errors import SimulationFault, ValidationError
@@ -62,9 +61,6 @@ class BallView:
         }
         return cls(center=center, radius=radius, order=order, adjacency=adj, distance=dist)
 
-    def nodes(self) -> frozenset[int]:
-        return frozenset(self.order)
-
 
 @dataclass(frozen=True)
 class NormalFormAlgorithm:
@@ -91,10 +87,6 @@ class SimulationAction:
 
     assignment: tuple[tuple[int, int], ...]
     output: object
-
-    @cached_property
-    def coloring(self) -> dict[int, int]:
-        return dict(self.assignment)
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,11 @@ def empty_profile(sim: SimulationGame) -> SimProfile:
 def simulation_utility(sim: SimulationGame, v: int, profile: SimProfile) -> Fraction:
     """1 if ``v``'s coloring is compatible with every played derived
     neighbor and jointly proper at the coloring radius, else 0."""
-    action = profile[v]
+    return _utility_of(sim, v, profile[v], profile)
+
+
+def _utility_of(sim: SimulationGame, v: int, action, profile: SimProfile) -> Fraction:
+    """`simulation_utility` of ``v`` playing ``action`` against ``profile``."""
     if action is None:
         return Fraction(0)
     for u in sim.network_prime.neighbors(v):
@@ -252,7 +248,6 @@ def constructive_best_response(
             starting at the all-empty profile.
     """
     view = sim.balls[v]
-    ball_nodes = view.nodes()
     radius = sim.coloring_radius
 
     fixed: dict[int, int] = {}  # node -> color already published nearby
@@ -284,33 +279,26 @@ def constructive_best_response(
         coloring[w] = c
 
     action = make_action(sim, v, coloring)
-    trial = profile[:v] + (action,) + profile[v + 1 :]
-    if simulation_utility(sim, v, trial) != 1:
+    if _utility_of(sim, v, action, profile) != 1:
         raise SimulationFault(f"constructed response for {v} does not reach utility 1")
     return action
-
-
-def simulation_step(sim: SimulationGame, profile: SimProfile, v: int) -> SimProfile:
-    """Best response for one agent, preferring the current action on ties."""
-    if profile[v] is not None and simulation_utility(sim, v, profile) == 1:
-        return profile
-    action = constructive_best_response(sim, v, profile)
-    return profile[:v] + (action,) + profile[v + 1 :]
 
 
 def simulation_fair_round(
     sim: SimulationGame, profile: SimProfile, order: tuple[int, ...]
 ) -> tuple[SimProfile, int]:
-    """One fair round; returns the new profile and the switch count."""
+    """One fair round, played on one list updated in place: an agent keeps a
+    utility-1 action, else takes its constructed best response. Returns the
+    new profile and the switch count."""
     if sorted(order) != list(range(sim.network.node_count)):
         raise ValidationError("order must be a permutation of the agents")
+    current = list(profile)
     switches = 0
     for v in order:
-        before = profile[v]
-        profile = simulation_step(sim, profile, v)
-        if profile[v] is not before:
+        if current[v] is None or simulation_utility(sim, v, current) != 1:
+            current[v] = constructive_best_response(sim, v, current)
             switches += 1
-    return profile, switches
+    return tuple(current), switches
 
 
 def play_simulation_round(sim: SimulationGame, order: tuple[int, ...]) -> SimProfile:

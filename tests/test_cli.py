@@ -282,6 +282,20 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("init", ["0,x,0,1", "0,1,,1", "1.0,0,1,0"])
+def test_run_init_with_non_integer_entry_exits_1(tmp_path, capsys, init):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--graph", "ring", "--n", "4", "--out", str(g))
+    code = run_cli(
+        "run", "--game", "minority", "--graph-file", str(g), "--init", init,
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --init") and repr(init) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "section, fields, pointer",
     [
@@ -317,6 +331,8 @@ def test_config_field_faults_name_pointer(tmp_path, capsys, section, fields, poi
         (["--game", "minority", "--max-rounds", "1"], {"game": "minority"}, {"max_rounds": 1}),
         (["--game", "coloring", "--k", "3", "--policy", "fixed"], {"game": "coloring", "k": 3},
          {"policy": "fixed"}),
+        (["--game", "minority", "--init", ",".join("01" * 15)], {"game": "minority"},
+         {"init": [int(x) for x in "01" * 15]}),
     ],
 )
 def test_flag_run_matches_config_run(tmp_path, flags, game, dyn):

@@ -227,7 +227,7 @@ def test_minority_monotonicity_check_fires_on_bad_utility():
     inverted = replace(
         g, utility_fn=lambda v, own, nbrs: -g.utility_fn(v, own, nbrs)
     )
-    with pytest.raises(SimulationFault):
+    with pytest.raises(SimulationFault, match="switch of node 0 failed"):
         run(inverted, (0, 1, 0, 1), FixedOrder((0, 1, 2, 3)), max_rounds=3)
 
 
@@ -242,8 +242,20 @@ def test_producer_structure_check_fires_on_bad_utility():
     inverted = replace(
         g, utility_fn=lambda v, own, nbrs: -g.utility_fn(v, own, nbrs)
     )
-    with pytest.raises(SimulationFault):
+    with pytest.raises(SimulationFault, match="not maximal after round 2: node 0 "):
         run(inverted, (1, 0, 0, 0), FixedOrder((0, 1, 2, 3)), max_rounds=3)
+
+
+def test_producer_independence_check_names_round_and_nodes():
+    # a utility that always prefers producing makes neighbors both produce
+    from dataclasses import replace
+
+    from netgame.errors import SimulationFault
+
+    g = pgg_game(ring(4), HALF)
+    eager = replace(g, utility_fn=lambda v, own, nbrs: Fraction(1 if own == "P" else 0))
+    with pytest.raises(SimulationFault, match="not independent after round 1: nodes 0 and 1 produce"):
+        run(eager, (0, 0, 0, 0), FixedOrder((0, 1, 2, 3)), max_rounds=3)
 
 
 def test_default_round_budget_grows_with_n():

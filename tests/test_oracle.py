@@ -22,6 +22,7 @@ from netgame.oracle import (
     is_proper_coloring,
     measured_inefficiency,
     minority_poa_report,
+    optimum_welfare_upper_bound,
     poa_pgg_instance,
     proper_coloring_exists,
 )
@@ -125,6 +126,20 @@ def test_combinatorial_optima_ring5():
 def test_combinatorial_optima_guard():
     with pytest.raises(GuardError):
         combinatorial_optima(ring(25))
+
+
+@pytest.mark.parametrize(
+    "game, bound",
+    [
+        (pgg_game(ring(22), HALF), 18),  # 2**22 profiles: 22 - c * gamma(ring(22)) = 22 - 8/2
+        (pgg_game(ring(30), HALF), 25),  # ceiling formula: 30 - c * ceil(30 / 3)
+        (minority_game(ring(30)), 90),  # (max_degree + 1) * n
+        (coloring_game(ring(30), 3), 30),  # n
+    ],
+    ids=["pgg-ring22", "pgg-ring30", "minority-ring30", "coloring-ring30"],
+)
+def test_closed_form_welfare_bounds_above_enumeration_guard(game, bound):
+    assert optimum_welfare_upper_bound(game) == bound
 
 
 def test_max_welfare_exhaustive_minority_bipartite():
