@@ -18,7 +18,7 @@ distinct runs share no mutable state and may execute in parallel.
 from __future__ import annotations
 
 import io
-from collections.abc import Sequence
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
@@ -26,13 +26,13 @@ from random import Random
 
 from .errors import ValidationError
 from .game import (
+    BestResponseEngine,
     GraphicalGame,
     Profile,
     best_responses,
     is_nash_equilibrium,
     random_profile,
     validate_profile,
-    welfare,
 )
 from .seeds import derive_seed
 
@@ -106,44 +106,29 @@ def _validate_order(net_size: int, order: tuple[int, ...]) -> None:
 
 def preferred_best_response(game: GraphicalGame, profile: Profile, v: int) -> int:
     """Best-response index for ``v``: the current action if it is among the
-    maximizers, else the first maximizer in tie-break order."""
+    maximizers, else the first maximizer in tie-break order. `step` uses it;
+    sweeps use `BestResponseEngine`, which memoises the same choice."""
     best = best_responses(game, v, profile)
     return profile[v] if profile[v] in best else best[0]
-
-
-def _sweep(game: GraphicalGame, profile: Profile, order: Sequence[int]) -> tuple[Profile, int]:
-    """Play ``order`` once, unvalidated: each node in turn switches to its
-    preferred best response. Returns the final profile and the switch count.
-
-    The profile is copied to one list and updated in place, so a switch
-    costs O(1); the game kind's ``check_switch`` runs after each switch.
-    `preferred_best_response` is looked up per call, so a wrapper installed
-    on this module (as ``bench/tracer.py`` does) sees every step.
-    """
-    current = list(profile)
-    check_switch = game.kind.check_switch
-    switches = 0
-    for v in order:
-        choice = preferred_best_response(game, current, v)
-        if choice != current[v]:
-            current[v] = choice
-            switches += 1
-            if check_switch is not None:
-                check_switch(game, current, v)
-    return tuple(current), switches
 
 
 def step(game: GraphicalGame, profile: Profile, v: int) -> Profile:
     """One node plays: ``profile`` with ``v``'s entry best-responded."""
     validate_profile(game, profile)
-    return _sweep(game, profile, (v,))[0]
+    current = list(profile)
+    current[v] = preferred_best_response(game, profile, v)
+    if current[v] != profile[v] and game.kind.check_switch is not None:
+        game.kind.check_switch(game, current, v)
+    return tuple(current)
 
 
 def fair_round(game: GraphicalGame, profile: Profile, order: tuple[int, ...]) -> Profile:
     """Sequential composition of `step` in the given order."""
     validate_profile(game, profile)
     _validate_order(game.network.node_count, order)
-    return _sweep(game, profile, order)[0]
+    engine = BestResponseEngine(game, profile)
+    engine.sweep(order, game.kind.check_switch)
+    return tuple(engine.profile)
 
 
 def default_max_rounds(n: int) -> int:
@@ -174,7 +159,9 @@ def run(
         raise ValidationError("max_rounds must be >= 1")
 
     kind = game.kind
-    welfares = [welfare(game, profile)]
+    engine = BestResponseEngine(game, profile)
+    profile = engine.profile  # the engine updates it in place
+    welfares = [engine.welfare()]
     switch_counts: list[int] = []
     cuts = [kind.cut_edges(game, profile)] if kind.cut_edges is not None else None
 
@@ -184,9 +171,9 @@ def run(
     for round_index in range(1, max_rounds + 1):
         order = _round_order(policy, round_index, n)
         _validate_order(n, order)
-        profile, switches = _sweep(game, profile, order)
+        switches = engine.sweep(order, kind.check_switch)
         rounds_executed = round_index
-        welfares.append(welfare(game, profile))
+        welfares.append(engine.welfare())
         switch_counts.append(switches)
         if cuts is not None:
             cuts.append(kind.cut_edges(game, profile))
@@ -206,7 +193,7 @@ def run(
         welfare_per_round=tuple(welfares),
         switches_per_round=tuple(switch_counts),
         cut_edges_per_round=tuple(cuts) if cuts is not None else None,
-        final=profile,
+        final=tuple(profile),
     )
 
 
@@ -247,9 +234,8 @@ def worst_case_convergence(
         raise ValidationError("round_budget must be >= 1")
     validate_profile(game, init)
 
-    import itertools
-
     perms = list(itertools.permutations(range(n)))
+    engine = BestResponseEngine(game)
     memo: dict[tuple[Profile, int], int | Exceeded] = {}
 
     def worst(profile: Profile, rounds_left: int) -> int | Exceeded:
@@ -265,7 +251,9 @@ def worst_case_convergence(
         else:
             worst_tail = 0
             for order in perms:
-                tail = worst(_sweep(game, profile, order)[0], rounds_left - 1)
+                engine.reset(profile)
+                engine.sweep(order, game.kind.check_switch)
+                tail = worst(tuple(engine.profile), rounds_left - 1)
                 if isinstance(tail, Exceeded):
                     worst_tail = EXCEEDED
                     break

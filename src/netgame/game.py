@@ -1,7 +1,8 @@
 """Games on networks: per-node action lists and local utility evaluators.
 
 A profile assigns each node an index into its action list; the list order
-is the fixed tie-breaking order. Utilities are exact rationals so that
+is the fixed tie-breaking order. Utilities are exact, `Fraction` at the API
+and integers over one common denominator inside `BestResponseEngine`, so
 ties are detected exactly. Games are immutable after construction and
 utility evaluation is pure, so instances are safe to share across threads.
 """
@@ -10,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import SimulationFault, ValidationError
 from .network import Network
@@ -45,8 +47,11 @@ class GraphicalGame:
     ``utility_fn(v, own_value, neighbor_values)`` sees only the closed
     neighborhood: the node, its own action value, and the action values of
     its neighbors in adjacency order. Locality is therefore enforced by
-    the interface shape. ``kind`` is the built-in kind and ``params`` its
-    exact parameters (``c`` for pgg, ``k`` for coloring).
+    the interface shape. It must also be anonymous, depending on neither
+    ``v`` nor the neighbor order, only on how many neighbors play each
+    action: `BestResponseEngine` shares payoffs among such nodes. ``kind``
+    is the built-in kind and ``params`` its exact parameters (``c`` for
+    pgg, ``k`` for coloring).
     """
 
     network: Network
@@ -102,12 +107,101 @@ def welfare(game: GraphicalGame, profile: Profile) -> Fraction:
 def best_response_payoffs(
     game: GraphicalGame, v: int, nbr_vals: tuple[Action, ...]
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """The best-response engine: ``v``'s payoff for each of its action
-    indices against the neighbor action values ``nbr_vals`` (in adjacency
-    order), and the maximizing indices in tie-break (list) order."""
+    """``v``'s payoff for each of its action indices against the neighbor
+    action values ``nbr_vals``, and the maximizing indices in tie-break
+    (list) order: the definition that `BestResponseEngine` memoises."""
     payoffs = tuple([game.utility_fn(v, a, nbr_vals) for a in game.actions[v]])
     top = max(payoffs)
     return payoffs, tuple([i for i, p in enumerate(payoffs) if p == top])
+
+
+class BestResponseEngine:
+    """Best-response dynamics on one mutable profile, in exact integers.
+
+    A node's payoffs depend only on its neighbor-count vector (see
+    `GraphicalGame`), packed into one integer ``key`` in radix
+    ``max_degree + 1``. ``table`` memoises per key, filled on first use from
+    `best_response_payoffs`, the payoff numerators over the common
+    denominator ``den`` (rescaled by the lcm when needed, never rounded) and
+    per own action the preferred response. All nodes share one action list.
+    """
+
+    def __init__(self, game: GraphicalGame, profile: Profile | None = None) -> None:
+        acts = game.actions[0] if game.actions else ()
+        if any(a != acts for a in game.actions):
+            raise ValidationError("the best-response engine needs one action list for all nodes")
+        self.game, self.acts, self.nbrs = game, acts, game.network.adjacency
+        self.radix = game.network.max_degree + 1
+        self.weight = [self.radix**a for a in range(len(acts))]
+        self.table: dict[int, tuple[list[int], tuple[int, ...]]] = {}
+        self.den, self.pay, self.welfare_num = 1, [], 0
+        if profile is not None:
+            self.reset(profile)
+
+    def reset(self, profile: Profile) -> None:
+        """Start over from ``profile`` (unvalidated), keeping the table."""
+        self.profile = prof = list(profile)
+        weight, table = self.weight, self.table
+        self.key = key = [sum([weight[prof[u]] for u in nbrs]) for nbrs in self.nbrs]
+        self.pay = pay = [0] * len(prof)
+        for v, a in enumerate(prof):
+            pay[v] = (table.get(key[v]) or self.entry(v, key[v]))[0][a]
+        self.welfare_num = sum(pay)
+
+    def key_of(self, labels) -> int:
+        """The key of a neighborhood playing the action indices ``labels``."""
+        return sum(self.weight[a] for a in labels)
+
+    def entry(self, v: int, key: int) -> tuple[list[int], tuple[int, ...]]:
+        """``(payoff numerators, preferred response per own action)`` at ``key``."""
+        if key in self.table:
+            return self.table[key]
+        vals, rest = (), key
+        for x in self.acts:
+            rest, count = divmod(rest, self.radix)
+            vals += (x,) * count
+        payoffs, best = best_response_payoffs(self.game, v, vals)
+        den = lcm(self.den, *(p.denominator for p in payoffs))
+        if den != self.den:
+            scale, self.den = den // self.den, den
+            for pays, _ in self.table.values():
+                pays[:] = [p * scale for p in pays]
+            self.pay[:] = [p * scale for p in self.pay]
+            self.welfare_num *= scale
+        pays = [p.numerator * (den // p.denominator) for p in payoffs]
+        pref = tuple(a if a in best else best[0] for a in range(len(payoffs)))
+        self.table[key] = (pays, pref)
+        return pays, pref
+
+    def sweep(self, order: Iterable[int], check_switch: Callable | None = None) -> int:
+        """Each node of ``order`` in turn takes its preferred response, with
+        ``check_switch(game, profile, v)`` after a switch; returns the switches."""
+        prof, key, table = self.profile, self.key, self.table
+        switches = 0
+        for v in order:
+            a = prof[v]
+            b = (table.get(key[v]) or self.entry(v, key[v]))[1][a]
+            if b != a:
+                self.move(v, b)
+                switches += 1
+                if check_switch is not None:
+                    check_switch(self.game, prof, v)
+        return switches
+
+    def move(self, v: int, b: int) -> None:
+        """Set ``v``'s action to ``b``, updating keys, payoffs and welfare."""
+        prof, key, pay, table, nbrs = self.profile, self.key, self.pay, self.table, self.nbrs[v]
+        d = self.weight[b] - self.weight[prof[v]]
+        prof[v] = b
+        for u in nbrs:
+            key[u] += d
+        for u in (v, *nbrs):
+            new = (table.get(key[u]) or self.entry(u, key[u]))[0][prof[u]]
+            self.welfare_num += new - pay[u]
+            pay[u] = new
+
+    def welfare(self) -> Fraction:
+        return Fraction(self.welfare_num, self.den)
 
 
 def best_responses(game: GraphicalGame, v: int, profile: Profile) -> tuple[int, ...]:
@@ -190,9 +284,9 @@ def _pgg_welfare_bound(game: GraphicalGame) -> Fraction:
     # producer set must dominate, so gamma >= n/(max_degree+1).
     net, n = game.network, game.network.node_count
     if n <= 24:
-        from .oracle import combinatorial_optima  # oracle imports this module
+        from .oracle import domination_number  # oracle imports this module
 
-        gamma = combinatorial_optima(net)[0]
+        gamma = domination_number(net)
     else:
         gamma = -((-n) // (net.max_degree + 1))
     return Fraction(n) - game.params["c"] * gamma

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .game import GraphicalGame, Profile, validate_profile
-from .dynamics import preferred_best_response
+from .game import BestResponseEngine, GraphicalGame, Profile, validate_profile
 from .network import Network
 
 
@@ -108,11 +107,12 @@ def simulate_fair_rounds(
         classes.setdefault(coloring.colors[v], []).append(v)
     schedule = [classes[color] for color in sorted(classes)]
 
-    profile = list(init)
+    engine = BestResponseEngine(game, init)
     for _ in range(rounds):
         for members in schedule:
-            moves = [preferred_best_response(game, profile, v) for v in members]
+            moves = [engine.entry(v, engine.key[v])[1][engine.profile[v]] for v in members]
             for v, choice in zip(members, moves):
-                profile[v] = choice
+                if choice != engine.profile[v]:
+                    engine.move(v, choice)
     order = tuple(v for members in schedule for v in members)
-    return tuple(profile), [order] * rounds
+    return tuple(engine.profile), [order] * rounds

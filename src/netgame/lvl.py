@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .game import Action, GraphicalGame, Profile, best_response_payoffs
+from .game import Action, BestResponseEngine, GraphicalGame, Profile
 from .network import Network
 
 AcceptPredicate = Callable[[int, int, tuple[int, ...]], bool]
@@ -44,10 +44,10 @@ class Verdict:
 def compile_lvl(game: GraphicalGame) -> LvlSpec:
     """Compile the game's equilibrium condition into a radius-1 verifier."""
 
+    engine = BestResponseEngine(game)
+
     def accept(v: int, center_label: int, neighbor_labels: tuple[int, ...]) -> bool:
-        nbrs = game.network.neighbors(v)
-        nbr_vals = tuple(game.actions[u][lab] for u, lab in zip(nbrs, neighbor_labels))
-        return center_label in best_response_payoffs(game, v, nbr_vals)[1]
+        return engine.entry(v, engine.key_of(neighbor_labels))[1][center_label] == center_label
 
     return LvlSpec(alphabet=game.actions, radius=1, accept=accept)
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from random import Random
 
 from .errors import GuardError, ValidationError
 from .game import (
+    BestResponseEngine,
     GraphicalGame,
     Profile,
     best_response_payoffs,
@@ -25,7 +28,7 @@ from .game import (
     random_profile,
     welfare,
 )
-from .dynamics import FreshRandomEachRound, RandomInit, _sweep, run
+from .dynamics import FreshRandomEachRound, RandomInit, run
 from .network import Network, bipartite_double_cover, star_matching
 from .seeds import derive_seed
 
@@ -191,33 +194,27 @@ def poa_pgg_instance(d: int, k: int, c: Fraction, seed: int) -> NeReport:
     return report
 
 
+def domination_number(net: Network) -> int:
+    """Exact minimum dominating set size by brute force over subsets in
+    increasing size; guarded to ``n <= 24``."""
+    n = net.node_count
+    if n > 24:
+        raise GuardError(f"exact combinatorial optima are guarded to n <= 24, got {n}")
+    closed = [sum(1 << u for u in (v, *net.neighbors(v))) for v in range(n)]
+    full = (1 << n) - 1
+    for size in range(n + 1):
+        for subset in itertools.combinations(closed, size):
+            if reduce(or_, subset, 0) == full:
+                return size
+
+
 def combinatorial_optima(net: Network) -> tuple[int, int, int]:
     """Exact (min dominating set, max independent set, max cut) by brute
     force; guarded to ``n <= 24``."""
+    gamma = domination_number(net)
     n = net.node_count
-    if n > 24:
-        raise GuardError(f"combinatorial_optima is guarded to n <= 24, got {n}")
-    closed = [1 << v for v in range(n)]
-    adj_mask = [0] * n
-    for v in range(n):
-        for u in net.neighbors(v):
-            closed[v] |= 1 << u
-            adj_mask[v] |= 1 << u
-    full = (1 << n) - 1
-
-    min_dominating = n
-    for size in range(n + 1):
-        found = False
-        for subset in itertools.combinations(range(n), size):
-            mask = 0
-            for v in subset:
-                mask |= closed[v]
-            if mask == full:
-                min_dominating = size
-                found = True
-                break
-        if found:
-            break
+    adj_mask = [sum(1 << u for u in net.neighbors(v)) for v in range(n)]
+    closed = [m | 1 << v for v, m in enumerate(adj_mask)]
 
     def max_independent(remaining: int) -> int:
         if remaining == 0:
@@ -238,7 +235,7 @@ def combinatorial_optima(net: Network) -> tuple[int, int, int]:
             m ^= v
         max_cut = max(max_cut, cut)
 
-    return min_dominating, max_independent(full), max_cut
+    return gamma, max_independent((1 << n) - 1), max_cut
 
 
 def optimum_welfare_upper_bound(game: GraphicalGame) -> Fraction:
@@ -332,23 +329,24 @@ def find_frozen_configuration(
     if k < 2:
         raise ValidationError("frozen-configuration search needs k >= 2")
     game = coloring_game(net, k)
+    engine = BestResponseEngine(game)
     n = net.node_count
     steps = 0
     restart = 0
     while steps < budget:
         rng = Random(derive_seed(seed, "restart", restart))
         restart += 1
-        profile = random_profile(game, rng)
+        engine.reset(random_profile(game, rng))
         switches = 1
         while switches:
             if steps + n > budget:
                 return None
             order = list(range(n))
             rng.shuffle(order)
-            profile, switches = _sweep(game, profile, order)
+            switches = engine.sweep(order)
             steps += n
-        if not is_proper_coloring(game, profile):
-            return profile
+        if engine.welfare() != n:  # proper iff every node has utility 1
+            return tuple(engine.profile)
     return None
 
 

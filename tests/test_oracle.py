@@ -14,9 +14,17 @@ from netgame.game import (
     welfare,
 )
 from netgame.lvl import compile_lvl, verify
-from netgame.network import Network, bipartite_double_cover, ring, star_matching, torus
+from netgame.network import (
+    Network,
+    bipartite_double_cover,
+    random_regular,
+    ring,
+    star_matching,
+    torus,
+)
 from netgame.oracle import (
     combinatorial_optima,
+    domination_number,
     enumerate_ne,
     find_frozen_configuration,
     is_proper_coloring,
@@ -126,6 +134,32 @@ def test_combinatorial_optima_ring5():
 def test_combinatorial_optima_guard():
     with pytest.raises(GuardError):
         combinatorial_optima(ring(25))
+    with pytest.raises(GuardError):
+        domination_number(ring(25))
+
+
+def test_combinatorial_optima_match_networkx(atlas5):
+    # independent oracles: networkx's dominating-set test over subsets,
+    # its exact maximum clique of the complement, and its cut size
+    nx = pytest.importorskip("networkx")
+    nets = atlas5 + [random_regular(n, 3, seed=s) for n, s in ((8, 1), (10, 2), (12, 3))]
+    for net in nets:
+        g = nx.Graph(net.edges())
+        g.add_nodes_from(range(net.node_count))
+        nodes = list(g)
+        gamma = min(
+            size
+            for size in range(1, net.node_count + 1)
+            if any(nx.is_dominating_set(g, s) for s in itertools.combinations(nodes, size))
+        )
+        alpha = nx.max_weight_clique(nx.complement(g), weight=None)[1]
+        cut = max(
+            nx.cut_size(g, s)
+            for size in range(net.node_count + 1)
+            for s in itertools.combinations(nodes, size)
+        )
+        assert combinatorial_optima(net) == (gamma, alpha, cut)
+        assert domination_number(net) == gamma
 
 
 @pytest.mark.parametrize(
