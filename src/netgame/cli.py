@@ -262,6 +262,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_poa(args: argparse.Namespace) -> int:
+    if args.max_listed < 0:
+        raise ValidationError(f"--max-listed must be >= 0, got {args.max_listed}")
     if args.family == "pgg-instance":
         for needed in ("d", "k", "c"):
             if getattr(args, needed) is None:
@@ -299,6 +301,8 @@ def _cmd_ineff(args: argparse.Namespace) -> int:
 
 
 def _cmd_simgame(args: argparse.Namespace) -> int:
+    if args.orders < 0:
+        raise ValidationError(f"--orders must be >= 0, got {args.orders}")
     net = network.ring(args.n)
     base = game_mod.pgg_game(net, game_mod.parse_rational(args.c))
     algo = simgame.greedy_mis_normal_form(net.max_degree)

@@ -1,8 +1,9 @@
 """Exhaustive and search-based ground truth.
 
 Everything here recomputes quantities from first principles: equilibria by
-scanning every profile against each node's best responses, combinatorial
-optima by subset search, inefficiency by measured runs. Hard size guards
+an odometer walk over every profile on the best-response engine (integer
+welfare, one action list for all nodes), combinatorial optima by subset
+search, inefficiency by measured runs. Hard size guards
 keep the exhaustive paths from silently running for hours.
 """
 
@@ -20,7 +21,6 @@ from .game import (
     BestResponseEngine,
     GraphicalGame,
     Profile,
-    best_response_payoffs,
     coloring_game,
     format_rational,
     minority_cut_edges,
@@ -112,61 +112,56 @@ def _profile_space_size(game: GraphicalGame) -> int:
 def enumerate_ne(game: GraphicalGame) -> NeReport:
     """Scan every profile; report all pure equilibria and welfare extremes.
 
-    A profile is an equilibrium iff every node plays one of its best
-    responses; payoffs and best responses come from `best_response_payoffs`,
-    cached per node by neighbor configuration.
+    One `BestResponseEngine` walks the profiles as an odometer in
+    lexicographic order: a step resets the trailing maximal digits to 0 and
+    increments the next one, one move per changed digit. A profile is an
+    equilibrium iff every node plays its preferred response. Welfare is the
+    engine's integer numerator; stored numerators are rescaled whenever a
+    new table entry enlarges the common denominator. Like the engine, this
+    needs one action list for all nodes.
 
     Raises:
         GuardError: if the profile space exceeds ``2**21``.
+        ValidationError: if the nodes' action lists differ.
     """
     size = _profile_space_size(game)
     if size > ENUMERATION_GUARD:
         raise GuardError(
             f"profile space {size} exceeds enumeration guard {ENUMERATION_GUARD}"
         )
-    net = game.network
-    n = net.node_count
-    nbrs = [net.neighbors(v) for v in range(n)]
-
-    # Per node, neighbor-index tuple -> (payoff per own index, maximizers).
-    cache: list[dict[tuple[int, ...], tuple]] = [{} for _ in range(n)]
-
+    n = game.network.node_count
+    engine = BestResponseEngine(game, (0,) * n)
+    prof, key, table = engine.profile, engine.key, engine.table
+    top, den, best = len(engine.acts) - 1, engine.den, engine.welfare_num
     equilibria: list[Profile] = []
-    best_welfare: Fraction | None = None
-    worst_ne: Fraction | None = None
-    best_ne: Fraction | None = None
+    ne_welfare: list[int] = []  # numerators over den, one per equilibrium
+    while True:
+        if engine.den != den:
+            scale, den = engine.den // den, engine.den
+            best *= scale
+            ne_welfare[:] = [w * scale for w in ne_welfare]
+        best = max(best, engine.welfare_num)
+        if all(table[key[v]][1][a] == a for v, a in enumerate(prof)):
+            equilibria.append(tuple(prof))
+            ne_welfare.append(engine.welfare_num)
+        v = n - 1
+        while v >= 0 and prof[v] == top:
+            v -= 1
+        if v < 0:
+            break
+        for u in range(v + 1, n):
+            engine.move(u, 0)
+        engine.move(v, prof[v] + 1)
 
-    for profile in itertools.product(*(range(len(a)) for a in game.actions)):
-        is_ne = True
-        total = Fraction(0)
-        for v in range(n):
-            key = tuple(profile[u] for u in nbrs[v])
-            cached = cache[v].get(key)
-            if cached is None:
-                vals = tuple(game.actions[u][i] for u, i in zip(nbrs[v], key))
-                cached = cache[v][key] = best_response_payoffs(game, v, vals)
-            payoffs, best = cached
-            if profile[v] not in best:
-                is_ne = False
-            total += payoffs[profile[v]]
-        if best_welfare is None or total > best_welfare:
-            best_welfare = total
-        if is_ne:
-            equilibria.append(profile)
-            if worst_ne is None or total < worst_ne:
-                worst_ne = total
-            if best_ne is None or total > best_ne:
-                best_ne = total
-
-    poa = None
-    if worst_ne is not None and worst_ne != 0:
-        poa = best_welfare / worst_ne
+    best_welfare = Fraction(best, den)
+    worst_ne = Fraction(min(ne_welfare), den) if ne_welfare else None
+    best_ne = Fraction(max(ne_welfare), den) if ne_welfare else None
     return NeReport(
         equilibria=tuple(equilibria),
         best_welfare=best_welfare,
         worst_ne_welfare=worst_ne,
         best_ne_welfare=best_ne,
-        poa=poa,
+        poa=best_welfare / worst_ne if worst_ne else None,
     )
 
 

@@ -90,6 +90,27 @@ def test_poa_enumerate_elides_long_lists(tmp_path):
     assert len(report["equilibria"]) == 5
 
 
+def test_poa_negative_max_listed_exits_1(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--graph", "ring", "--n", "6", "--out", str(g))
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "poa", "--family", "enumerate", "--game", "minority", "--graph-file", str(g),
+        "--max-listed", "-1", "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --max-listed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_simgame_negative_orders_exits_1(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    code = run_cli("simgame", "--n", "8", "--orders", "-3", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: --orders must be >= 0, got -3\n"
+    assert not out.exists()
+
+
 def test_ineff_subcommand(tmp_path):
     g = tmp_path / "g.json"
     run_cli("gen", "--graph", "ring", "--n", "8", "--out", str(g))

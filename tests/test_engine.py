@@ -1,11 +1,12 @@
 """Differential tests of the integer neighbor-count engine (`BestResponseEngine`)
 against the engine-free references: `reference_round` plus `welfare` for
-`run`, per-node deviation checks for `verify`, and sequential replay for
-`simulate_fair_rounds`."""
+`run`, per-node deviation checks for `verify`, sequential replay for
+`simulate_fair_rounds`, and a definitional scan (every profile through
+`is_nash_equilibrium` and `welfare`) for the odometer walk of `enumerate_ne`."""
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -24,6 +25,7 @@ from netgame.game import (
 from netgame.lvl import compile_lvl, verify
 from netgame.local_sim import distance_coloring, simulate_fair_rounds
 from netgame.network import Network, ring
+from netgame.oracle import enumerate_ne
 from test_dynamics import reference_round
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -39,9 +41,9 @@ SETTINGS = hypothesis.settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def cases(draw):
-    """A G(n, p) graph with n <= 14, a built-in game on it, and a seed."""
-    n = draw(st.integers(1, 14))
+def cases(draw, max_n=14):
+    """A G(n, p) graph with n <= ``max_n``, a built-in game on it, and a seed."""
+    n = draw(st.integers(1, max_n))
     p = draw(st.sampled_from([0.15, 0.3, 0.5]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = Random(seed)
@@ -117,17 +119,61 @@ def test_simulate_fair_rounds_matches_sequential_replay(case, rounds):
     assert final == profile
 
 
+def reference_scan(game):
+    """Equilibria in lexicographic order, best welfare, and the worst and best
+    equilibrium welfare, by `is_nash_equilibrium` and `welfare` on every profile."""
+    scored = [(p, welfare(game, p)) for p in product(*(range(len(a)) for a in game.actions))]
+    ne = [(p, w) for p, w in scored if is_nash_equilibrium(game, p)]
+    ne_welfare = [w for _, w in ne]
+    return (
+        [p for p, _ in ne],
+        max(w for _, w in scored),
+        min(ne_welfare, default=None),
+        max(ne_welfare, default=None),
+    )
+
+
+def scan_of(report):
+    return list(report.equilibria), report.best_welfare, report.worst_ne_welfare, report.best_ne_welfare
+
+
+@SETTINGS
+@hypothesis.given(cases(8))
+def test_enumerate_ne_matches_definitional_scan(case):
+    game = case[0]
+    assert scan_of(enumerate_ne(game)) == reference_scan(game)
+
+
+def thirds_pgg_ring6(free_ride=0, per_producer=Fraction(1, 3)):
+    """pgg with c = 1/2 on ring(6), plus ``free_ride`` for playing F and
+    ``per_producer`` per producing neighbor: entries with no producing
+    neighbor are in halves, the others need thirds, so the common
+    denominator grows to sixths during a scan (on the first step of an
+    `enumerate_ne` walk)."""
+    g = pgg_game(ring(6), HALF)
+
+    def u(v, own, nbrs):
+        return g.utility_fn(v, own, nbrs) + free_ride * (own == "F") + per_producer * nbrs.count("P")
+
+    return replace(g, utility_fn=u)
+
+
+# With 1 for free riding and -4/3 per producing neighbor, the all-F first
+# profile is the only equilibrium and the welfare maximum, both stored in
+# halves before the rescale.
+@pytest.mark.parametrize("free_ride, per_producer", [(0, Fraction(1, 3)), (1, Fraction(-4, 3))])
+def test_enumerate_ne_rescales_to_a_common_denominator_mid_scan(free_ride, per_producer):
+    thirds = thirds_pgg_ring6(free_ride, per_producer)
+    assert scan_of(enumerate_ne(thirds)) == reference_scan(thirds)
+
+
 @pytest.mark.parametrize("profile", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)], ids=["reset", "move"])
 def test_rescale_to_a_common_denominator_keeps_welfare_exact(profile):
-    # thirds under pgg's c = 1/2: entries with no producing neighbor are in
-    # halves, the others need thirds. From (1, 0, ...) the rescale to sixths
-    # comes while the engine is set up, after node 0's payoff is stored; from
-    # all zeros it comes in round 1, when node 0's switch fills its
-    # neighbors' entries, with the running welfare already nonzero.
-    g = pgg_game(ring(6), HALF)
-    thirds = replace(
-        g, utility_fn=lambda v, own, nbrs: g.utility_fn(v, own, nbrs) + Fraction(nbrs.count("P"), 3)
-    )
+    # From (1, 0, ...) the rescale to sixths comes while the engine is set
+    # up, after node 0's payoff is stored; from all zeros it comes in round
+    # 1, when node 0's switch fills its neighbors' entries, with the running
+    # welfare already nonzero.
+    thirds = thirds_pgg_ring6()
     engine = BestResponseEngine(thirds, profile)
     assert engine.welfare() == welfare(thirds, profile)
     orders = (tuple(range(6)),) * 4
