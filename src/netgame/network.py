@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor, log
+from math import floor, inf, log
 from random import Random
 
 from .errors import ConstructionError, ValidationError
@@ -107,38 +107,29 @@ class Network:
 class CycleCutConstraint:
     """Restriction on which edges `cut_short_cycles` may rewire.
 
-    * ``unconstrained`` - any edge may be swapped.
-    * ``leaf_edges_only`` - only the designated edge set is rewired (the
-      replacement edges join the set), preserving perfect domination of a
-      star construction.
-    * ``preserve_bipartition`` - every replacement edge must cross the
-      given 2-partition of the nodes.
+    * ``leaf_edges`` set (`leaf_edges_only`) - only the designated edge set
+      is rewired (the replacement edges join the set), preserving perfect
+      domination of a star construction.
+    * ``sides`` set (`preserve_bipartition`) - every replacement edge must
+      cross the given 2-partition of the nodes.
+
+    With neither set (`unconstrained`), any edge may be swapped.
     """
 
-    kind: str
     leaf_edges: frozenset[Edge] | None = None
     sides: tuple[frozenset[int], frozenset[int]] | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("unconstrained", "leaf_edges_only", "preserve_bipartition"):
-            raise ValidationError(f"unknown cycle-cut constraint kind {self.kind!r}")
-        if self.kind == "leaf_edges_only" and self.leaf_edges is None:
-            raise ValidationError("leaf_edges_only requires a designated edge set")
-        if self.kind == "preserve_bipartition" and self.sides is None:
-            raise ValidationError("preserve_bipartition requires a 2-partition")
-
     @classmethod
     def unconstrained(cls) -> "CycleCutConstraint":
-        return cls("unconstrained")
+        return cls()
 
     @classmethod
     def leaf_edges_only(cls, leaf_edges) -> "CycleCutConstraint":
-        edges = frozenset(tuple(sorted(e)) for e in leaf_edges)
-        return cls("leaf_edges_only", leaf_edges=edges)
+        return cls(leaf_edges=frozenset(tuple(sorted(e)) for e in leaf_edges))
 
     @classmethod
     def preserve_bipartition(cls, side_a, side_b) -> "CycleCutConstraint":
-        return cls("preserve_bipartition", sides=(frozenset(side_a), frozenset(side_b)))
+        return cls(sides=(frozenset(side_a), frozenset(side_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +284,27 @@ def power_graph(net: Network, r: int) -> Network:
 
 
 def girth(net: Network) -> int | None:
-    """Length of the shortest cycle, or None for forests.
+    """Length of the shortest cycle, or None for forests (see `_shortest_cycle`)."""
+    return _shortest_cycle(net)[0]
+
+
+def _shortest_cycle(net: Network) -> tuple[int | None, tuple[int, ...] | None]:
+    """The girth and the lexicographically smallest of the shortest cycles
+    closed by the per-root BFS trees, or ``(None, None)`` for forests.
 
     Exact, via truncated BFS from every node: for each non-tree edge
     ``{x,y}`` found from root ``v``, ``dist(x) + dist(y) + 1`` bounds a cycle
     from below, and the bound is attained for some root on a shortest cycle.
+    Each candidate of the current best length is the closed walk from the
+    root down the tree to ``x``, across ``{x,y}`` and back up from ``y``,
+    written from its minimum node towards the smaller of that node's two
+    cycle neighbors. A walk whose tree paths share more than the root
+    contains a strictly shorter cycle, so only simple cycles survive to the
+    girth.
     """
     best: int | None = None
-    n = net.node_count
-    for root in range(n):
+    smallest: tuple[int, ...] | None = None
+    for root in range(net.node_count):
         dist = {root: 0}
         parent = {root: -1}
         queue = deque([root])
@@ -312,64 +315,23 @@ def girth(net: Network) -> int | None:
             for y in net.adjacency[x]:
                 if y == parent[x]:
                     continue
-                if y in dist:
-                    cand = dist[x] + dist[y] + 1
-                    if best is None or cand < best:
-                        best = cand
-                else:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-    return best
-
-
-def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
-    """Rotate/reflect a cycle's node list to its lexicographic minimum."""
-    k = len(cycle)
-    best: tuple[int, ...] | None = None
-    for i in range(k):
-        for direction in (1, -1):
-            rot = tuple(cycle[(i + direction * j) % k] for j in range(k))
-            if best is None or rot < best:
-                best = rot
-    assert best is not None
-    return best
-
-
-def _shortest_cycles(net: Network, length: int) -> list[tuple[int, ...]]:
-    """All shortest cycles discovered by the deterministic per-root BFS scan,
-    canonicalized and sorted. Nonempty whenever girth(net) == length."""
-    found: set[tuple[int, ...]] = set()
-    for root in range(net.node_count):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        order = [root]
-        while queue:
-            x = queue.popleft()
-            if dist[x] > length // 2:
-                break
-            for y in net.adjacency[x]:
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     parent[y] = x
                     queue.append(y)
-                    order.append(y)
-        for x in order:
-            for y in net.adjacency[x]:
-                if y not in dist or y == parent[x] or x == parent[y]:
                     continue
-                if x > y:
+                cand = dist[x] + dist[y] + 1
+                if best is not None and cand > best:
                     continue
-                if dist[x] + dist[y] + 1 != length:
-                    continue
-                path_x = _path_to_root(x, parent)
-                path_y = _path_to_root(y, parent)
-                if set(path_x) & set(path_y) != {root}:
-                    continue  # walk is not a simple cycle
-                cycle = path_x[::-1] + path_y[:-1]
-                found.add(_canonical_cycle(cycle))
-    return sorted(found)
+                cycle = _path_to_root(x, parent)[::-1] + _path_to_root(y, parent)[:-1]
+                i = cycle.index(min(cycle))
+                if cycle[i - 1] < cycle[(i + 1) % cand]:
+                    cycle.reverse()
+                    i = cand - 1 - i
+                cycle = tuple(cycle[i:] + cycle[:i])
+                if best is None or cand < best or cycle < smallest:
+                    best, smallest = cand, cycle
+    return best, smallest
 
 
 def _path_to_root(x: int, parent: dict[int, int]) -> list[int]:
@@ -410,7 +372,7 @@ def cut_short_cycles(
     if not isinstance(g, int) or g < 3:
         raise ValidationError("girth target must be an integer >= 3 or 'auto'")
 
-    if constraint.kind == "preserve_bipartition":
+    if constraint.sides is not None:
         side_a, side_b = constraint.sides
         nodes = set(range(net.node_count))
         if (side_a | side_b) != nodes or (side_a & side_b):
@@ -422,19 +384,20 @@ def cut_short_cycles(
                 )
 
     edges = set(net.edges())
-    leaf_edges = set(constraint.leaf_edges) if constraint.kind == "leaf_edges_only" else None
+    # Eligible edges: all of them, or the designated edges still in the graph.
+    leaf_edges = edges & constraint.leaf_edges if constraint.leaf_edges is not None else None
+    eligible = edges if leaf_edges is None else leaf_edges
     budget = 10 * len(edges) + 10
 
     for _ in range(budget):
         current = Network.from_edges(net.node_count, edges)
-        have = girth(current)
+        have, cycle = _shortest_cycle(current)
         if have is None or have >= g:
             return current
-        cycle = _shortest_cycles(current, have)[0]
         cycle_edges = sorted(
             tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)]))) for i in range(len(cycle))
         )
-        eligible_on_cycle = [e for e in cycle_edges if _edge_eligible(e, constraint, leaf_edges)]
+        eligible_on_cycle = [e for e in cycle_edges if e in eligible]
         if not eligible_on_cycle:
             raise ConstructionError("shortest cycle has no eligible edge to cut")
 
@@ -446,19 +409,15 @@ def cut_short_cycles(
             dist_u = current.bfs_distances(e[0])
             dist_v = current.bfs_distances(e[1])
 
-            def edge_distance(f: Edge) -> int:
+            def edge_distance(f: Edge) -> float:
                 ds = [d.get(x) for d in (dist_u, dist_v) for x in f]
                 if any(x is None for x in ds):
-                    return net.node_count  # different component: infinitely far
+                    return inf  # different component: infinitely far
                 return min(ds)
 
-            far = sorted(
-                f
-                for f in edges
-                if f != e and _edge_eligible(f, constraint, leaf_edges) and edge_distance(f) >= g
-            )
-            if far:
-                pair = (e, far[0])
+            far = min((f for f in eligible if f != e and edge_distance(f) >= g), default=None)
+            if far is not None:
+                pair = (e, far)
                 break
         if pair is None:
             raise ConstructionError(
@@ -467,7 +426,7 @@ def cut_short_cycles(
             )
         e, f = pair
 
-        if constraint.kind == "preserve_bipartition":
+        if constraint.sides is not None:
             side_a, _ = constraint.sides
             u, v = e if e[0] in side_a else (e[1], e[0])
             up, vp = f if f[0] in side_a else (f[1], f[0])
@@ -486,12 +445,6 @@ def cut_short_cycles(
             leaf_edges.add(new_1)
             leaf_edges.add(new_2)
     raise ConstructionError(f"cycle cutting did not reach girth {g} within {budget} swaps")
-
-
-def _edge_eligible(e: Edge, constraint: CycleCutConstraint, leaf_edges: set[Edge] | None) -> bool:
-    if constraint.kind == "leaf_edges_only":
-        return e in leaf_edges
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ utility checks all come from bounded-depth breadth-first traversals.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -124,8 +125,6 @@ def greedy_mis_normal_form(delta: int) -> NormalFormAlgorithm:
 
     def truncated_join(view: BallView, coloring: dict[int, int], x: int) -> bool:
         # Nodes within t-1 of x (via induced BFS; exact for this depth).
-        from collections import deque
-
         dist = {x: 0}
         queue = deque([x])
         while queue:

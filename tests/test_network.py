@@ -1,3 +1,7 @@
+import hashlib
+from collections import deque
+from itertools import combinations
+from math import inf
 from random import Random
 
 import pytest
@@ -6,6 +10,7 @@ from netgame.errors import ConstructionError, ValidationError
 from netgame.network import (
     CycleCutConstraint,
     Network,
+    _shortest_cycle,
     bipartite_double_cover,
     cut_short_cycles,
     degree_multiset,
@@ -45,6 +50,69 @@ def exhaustive_girth(net: Network) -> int | None:
     for s in range(n):
         extend(s, [s], {s})
     return best
+
+
+def reference_shortest_cycle(net: Network) -> tuple[int | None, tuple[int, ...] | None]:
+    """The two-pass reference for `_shortest_cycle`: the girth by a per-root
+    BFS, then every cycle of that length the same BFS trees close, each
+    rotated and reflected to its lexicographic minimum, smallest first."""
+    best = None
+    for root in range(net.node_count):
+        dist, parent, queue = {root: 0}, {root: -1}, deque([root])
+        while queue:
+            x = queue.popleft()
+            if best is not None and dist[x] > best // 2:
+                break
+            for y in net.neighbors(x):
+                if y == parent[x]:
+                    continue
+                if y in dist:
+                    best = min(best or inf, dist[x] + dist[y] + 1)
+                else:
+                    dist[y], parent[y] = dist[x] + 1, x
+                    queue.append(y)
+    if best is None:
+        return None, None
+
+    def to_root(x, parent):
+        path = [x]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        return path
+
+    found = set()
+    for root in range(net.node_count):
+        dist, parent, queue, order = {root: 0}, {root: -1}, deque([root]), [root]
+        while queue:
+            x = queue.popleft()
+            if dist[x] > best // 2:
+                break
+            for y in net.neighbors(x):
+                if y not in dist:
+                    dist[y], parent[y] = dist[x] + 1, x
+                    queue.append(y)
+                    order.append(y)
+        for x in order:
+            for y in net.neighbors(x):
+                if y not in dist or y == parent[x] or x == parent[y] or x > y:
+                    continue
+                if dist[x] + dist[y] + 1 != best:
+                    continue
+                path_x, path_y = to_root(x, parent), to_root(y, parent)
+                if set(path_x) & set(path_y) != {root}:
+                    continue  # walk is not a simple cycle
+                cycle = path_x[::-1] + path_y[:-1]
+                k = len(cycle)
+                found.add(min(
+                    tuple(cycle[(i + step * j) % k] for j in range(k))
+                    for i in range(k)
+                    for step in (1, -1)
+                ))
+    return best, min(found)
+
+
+def edge_digest(net: Network) -> str:
+    return hashlib.sha256(repr(net.edges()).encode()).hexdigest()[:16]
 
 
 # -- construction and validation
@@ -164,6 +232,7 @@ def test_cut_short_cycles_unconstrained():
     assert girth(out) >= 5
     assert degree_multiset(out) == degree_multiset(net)
     assert out.edge_count == net.edge_count
+    assert edge_digest(out) == "7421421e09d4d7d1"
 
 
 def test_cut_short_cycles_preserves_bipartition():
@@ -173,6 +242,7 @@ def test_cut_short_cycles_preserves_bipartition():
     out = cut_short_cycles(net, 6, CycleCutConstraint.preserve_bipartition(*sides))
     assert girth(out) >= 6
     assert two_coloring(out) is not None
+    assert edge_digest(out) == "478c86fdcaf4ae89"
 
 
 def test_cut_short_cycles_leaf_edges_keep_domination():
@@ -180,6 +250,7 @@ def test_cut_short_cycles_leaf_edges_keep_domination():
     out = cut_short_cycles(net, 6, CycleCutConstraint.leaf_edges_only(leaf_edges))
     assert girth(out) >= 6
     assert is_perfect_dominating_set(out, centers)
+    assert edge_digest(out) == "60357043e876c9b3"
 
 
 def test_cut_short_cycles_impossible_target_errors():
@@ -193,6 +264,33 @@ def test_cut_short_cycles_auto_girth_target():
     # floor(log_3 82) = 4
     assert girth(out) >= 4
     assert degree_multiset(out) == degree_multiset(net)
+    assert edge_digest(out) == "ade48da29c9103f0"
+
+
+def test_cut_short_cycles_counts_other_components_as_infinitely_far():
+    # A triangle and a 7-node path: the path's edges lie in another
+    # component, so they are far enough for any target, even one above n.
+    net = Network.from_edges(10, [(0, 1), (0, 2), (1, 2)] + [(i, i + 1) for i in range(3, 9)])
+    out = cut_short_cycles(net, 11)
+    assert girth(out) is None
+    assert degree_multiset(out) == degree_multiset(net)
+
+
+@pytest.mark.parametrize(
+    "constraint, error, message",
+    [
+        (CycleCutConstraint.leaf_edges_only([]), ConstructionError, "no eligible edge to cut"),
+        (CycleCutConstraint.preserve_bipartition({0, 1}, {2, 3}), ValidationError, "does not cross"),
+        (
+            CycleCutConstraint.preserve_bipartition({0, 1, 2}, {1, 3}),
+            ValidationError,
+            "cover all nodes exactly once",
+        ),
+    ],
+)
+def test_cut_short_cycles_constraint_faults(constraint, error, message):
+    with pytest.raises(error, match=message):
+        cut_short_cycles(ring(4), 5, constraint)
 
 
 # -- double cover
@@ -263,6 +361,49 @@ def test_girth_matches_exhaustive_on_random_graphs_up_to_8():
         edges = [e for e in complete_graph(n).edges() if rng.random() < p]
         net = Network.from_edges(n, edges)
         assert girth(net) == exhaustive_girth(net)
+
+
+def networkx_girth(net: Network):
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(range(net.node_count))
+    graph.add_edges_from(net.edges())
+    g = nx.girth(graph)
+    return None if g == inf else g
+
+
+def test_girth_matches_networkx_on_atlas(atlas6):
+    for net in atlas6:
+        assert girth(net) == networkx_girth(net)
+
+
+def test_shortest_cycle_matches_reference_and_networkx():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        """G(n, p) graphs with n <= 12 (sparse ones are often forests or
+        disconnected) and `random_regular(n, 3 or 4)` graphs with n <= 40."""
+        seed = draw(st.integers(0, 2**32 - 1))
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 12))
+            p = draw(st.sampled_from([0.1, 0.2, 0.35, 0.6]))
+            rng = Random(seed)
+            return Network.from_edges(
+                n, [e for e in combinations(range(n), 2) if rng.random() < p]
+            )
+        d = draw(st.sampled_from([3, 4]))
+        n = draw(st.integers(d + 1, 40))
+        return random_regular(n + (n * d) % 2, d, seed)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(graphs())
+    def check(net):
+        assert _shortest_cycle(net) == reference_shortest_cycle(net)
+        assert girth(net) == networkx_girth(net)
+
+    check()
 
 
 # -- JSON interchange
