@@ -155,8 +155,8 @@ def run(
         profile = tuple(init)
     if max_rounds is None:
         max_rounds = default_max_rounds(n)
-    if max_rounds < 1:
-        raise ValidationError("max_rounds must be >= 1")
+    if max_rounds < 0:
+        raise ValidationError("max_rounds must be >= 0")
 
     kind = game.kind
     engine = BestResponseEngine(game, profile)

@@ -16,7 +16,7 @@ from random import Random
 from typing import Callable, Iterable
 
 from .errors import SimulationFault, ValidationError
-from .network import Network
+from .network import Network, domination_number
 
 Action = object  # an action value, e.g. "P", -1, or a color number
 Profile = tuple[int, ...]  # one action index per node
@@ -284,8 +284,6 @@ def _pgg_welfare_bound(game: GraphicalGame) -> Fraction:
     # producer set must dominate, so gamma >= n/(max_degree+1).
     net, n = game.network, game.network.node_count
     if n <= 24:
-        from .oracle import domination_number  # oracle imports this module
-
         gamma = domination_number(net)
     else:
         gamma = -((-n) // (net.max_degree + 1))

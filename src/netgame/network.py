@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from math import floor, inf, log
+from functools import cached_property, reduce
+from itertools import combinations
+from math import floor, log
+from operator import or_
 from random import Random
 
-from .errors import ConstructionError, ValidationError
+from .errors import ConstructionError, GuardError, ValidationError
 from .seeds import derive_seed
 
 Edge = tuple[int, int]
@@ -350,10 +352,12 @@ def cut_short_cycles(
 
     Repeatedly takes the lexicographically smallest shortest cycle, the
     smallest eligible edge ``e = {u,v}`` on it, and the smallest eligible
-    edge ``f = {u',v'}`` at edge distance >= g (min endpoint distance), then
-    replaces both with the crossed pair ``{u,v'}, {u',v}``. Endpoints of far
-    edges are pairwise non-adjacent, so swaps can never create parallel
-    edges, and every swap preserves the degree sequence and the edge count.
+    edge ``f = {u',v'}`` at edge distance >= g: no endpoint of ``f`` within
+    ``g - 1`` of an endpoint of ``e``; another component is infinitely far.
+    It then replaces both with the crossed pair ``{u,v'}, {u',v}``. Endpoints
+    of far edges are pairwise non-adjacent, so swaps can never create
+    parallel edges, and every swap preserves the degree sequence and the
+    edge count.
 
     ``g = "auto"`` targets ``floor(log_d n)`` for degree ``d``. The procedure
     is deterministic.
@@ -385,8 +389,7 @@ def cut_short_cycles(
 
     edges = set(net.edges())
     # Eligible edges: all of them, or the designated edges still in the graph.
-    leaf_edges = edges & constraint.leaf_edges if constraint.leaf_edges is not None else None
-    eligible = edges if leaf_edges is None else leaf_edges
+    eligible = edges if constraint.leaf_edges is None else edges & constraint.leaf_edges
     budget = 10 * len(edges) + 10
 
     for _ in range(budget):
@@ -404,46 +407,26 @@ def cut_short_cycles(
         # Smallest eligible cycle edge that has a far partner at all; a cycle
         # edge with no partner at distance >= g is skipped in favor of the
         # next one rather than aborting the whole construction.
-        pair: tuple[Edge, Edge] | None = None
         for e in eligible_on_cycle:
-            dist_u = current.bfs_distances(e[0])
-            dist_v = current.bfs_distances(e[1])
-
-            def edge_distance(f: Edge) -> float:
-                ds = [d.get(x) for d in (dist_u, dist_v) for x in f]
-                if any(x is None for x in ds):
-                    return inf  # different component: infinitely far
-                return min(ds)
-
-            far = min((f for f in eligible if f != e and edge_distance(f) >= g), default=None)
-            if far is not None:
-                pair = (e, far)
+            near = {x for end in e for x in current.bfs_distances(end, g - 1)}
+            f = min((x for x in eligible if near.isdisjoint(x)), default=None)
+            if f is not None:
                 break
-        if pair is None:
+        else:
             raise ConstructionError(
                 f"no eligible edge at distance >= {g} from any edge of cycle {cycle}; "
                 "girth target too large for n"
             )
-        e, f = pair
 
-        if constraint.sides is not None:
-            side_a, _ = constraint.sides
-            u, v = e if e[0] in side_a else (e[1], e[0])
-            up, vp = f if f[0] in side_a else (f[1], f[0])
-        else:
-            u, v = e
-            up, vp = f
-        new_1 = tuple(sorted((u, vp)))
-        new_2 = tuple(sorted((up, v)))
-        edges.remove(e)
-        edges.remove(f)
-        edges.add(new_1)
-        edges.add(new_2)
-        if leaf_edges is not None:
-            leaf_edges.discard(e)
-            leaf_edges.discard(f)
-            leaf_edges.add(new_1)
-            leaf_edges.add(new_2)
+        # Under a bipartition both edges run from side A, so the new ones cross.
+        (u, v), (up, vp) = (
+            (x, y) if constraint.sides is None or x in constraint.sides[0] else (y, x)
+            for x, y in (e, f)
+        )
+        swapped = {tuple(sorted((u, vp))), tuple(sorted((up, v)))}
+        for s in (edges,) if eligible is edges else (edges, eligible):
+            s.difference_update((e, f))
+            s.update(swapped)
     raise ConstructionError(f"cycle cutting did not reach girth {g} within {budget} swaps")
 
 
@@ -484,6 +467,20 @@ def is_perfect_dominating_set(net: Network, centers: frozenset[int] | set[int]) 
         elif inside != 1:
             return False
     return True
+
+
+def domination_number(net: Network) -> int:
+    """Exact minimum dominating set size by brute force over subsets in
+    increasing size; guarded to ``n <= 24``."""
+    n = net.node_count
+    if n > 24:
+        raise GuardError(f"exact combinatorial optima are guarded to n <= 24, got {n}")
+    closed = [sum(1 << u for u in (v, *net.neighbors(v))) for v in range(n)]
+    full = (1 << n) - 1
+    for size in range(n + 1):
+        for subset in combinations(closed, size):
+            if reduce(or_, subset, 0) == full:
+                return size
 
 
 def degree_multiset(net: Network) -> tuple[int, ...]:

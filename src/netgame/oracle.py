@@ -9,11 +9,8 @@ keep the exhaustive paths from silently running for hours.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from random import Random
 
 from .errors import GuardError, ValidationError
@@ -26,10 +23,9 @@ from .game import (
     minority_cut_edges,
     pgg_game,
     random_profile,
-    welfare,
 )
 from .dynamics import FreshRandomEachRound, RandomInit, run
-from .network import Network, bipartite_double_cover, star_matching
+from .network import Network, bipartite_double_cover, domination_number, star_matching
 from .seeds import derive_seed
 
 ENUMERATION_GUARD = 1 << 21
@@ -189,20 +185,6 @@ def poa_pgg_instance(d: int, k: int, c: Fraction, seed: int) -> NeReport:
     return report
 
 
-def domination_number(net: Network) -> int:
-    """Exact minimum dominating set size by brute force over subsets in
-    increasing size; guarded to ``n <= 24``."""
-    n = net.node_count
-    if n > 24:
-        raise GuardError(f"exact combinatorial optima are guarded to n <= 24, got {n}")
-    closed = [sum(1 << u for u in (v, *net.neighbors(v))) for v in range(n)]
-    full = (1 << n) - 1
-    for size in range(n + 1):
-        for subset in itertools.combinations(closed, size):
-            if reduce(or_, subset, 0) == full:
-                return size
-
-
 def combinatorial_optima(net: Network) -> tuple[int, int, int]:
     """Exact (min dominating set, max independent set, max cut) by brute
     force; guarded to ``n <= 24``."""
@@ -258,13 +240,9 @@ def measured_inefficiency(
     bound = optimum_welfare_upper_bound(game)
 
     def one_trial(i: int) -> Fraction:
-        init_seed = derive_seed(seed, "trial", i)
-        if T == 0:
-            rng = Random(derive_seed(init_seed, "init"))
-            return welfare(game, random_profile(game, rng))
         trace = run(
             game,
-            RandomInit(init_seed),
+            RandomInit(derive_seed(seed, "trial", i)),
             FreshRandomEachRound(derive_seed(seed, "schedule", i)),
             max_rounds=T,
         )

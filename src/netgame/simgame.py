@@ -47,7 +47,6 @@ class BallView:
     """
 
     center: int
-    radius: int
     order: tuple[int, ...]
     adjacency: dict[int, tuple[int, ...]]
     distance: dict[int, int]
@@ -60,7 +59,7 @@ class BallView:
         adj = {
             w: tuple(u for u in net.neighbors(w) if u in nodes) for w in nodes
         }
-        return cls(center=center, radius=radius, order=order, adjacency=adj, distance=dist)
+        return cls(center=center, order=order, adjacency=adj, distance=dist)
 
 
 @dataclass(frozen=True)
@@ -215,14 +214,13 @@ def _utility_of(sim: SimulationGame, v: int, action, profile: SimProfile) -> Fra
 
 
 def _pair_consistent(sim: SimulationGame, a: SimulationAction, b: SimulationAction) -> bool:
-    radius = sim.coloring_radius
     for w, cw in a.assignment:
         near_w = sim.near_distances[w]
         for x, cx in b.assignment:
             if w == x:
                 if cw != cx:
                     return False
-            elif cw == cx and x in near_w and near_w[x] <= radius:
+            elif cw == cx and x in near_w:
                 return False
     return True
 
@@ -247,7 +245,6 @@ def constructive_best_response(
             starting at the all-empty profile.
     """
     view = sim.balls[v]
-    radius = sim.coloring_radius
 
     fixed: dict[int, int] = {}  # node -> color already published nearby
     for u in sim.network_prime.neighbors(v):
@@ -268,7 +265,7 @@ def constructive_best_response(
         near_w = sim.near_distances[w]
         forbidden = set(coloring.values())
         for x, cx in fixed.items():
-            if x in near_w and near_w[x] <= radius:
+            if x in near_w:
                 forbidden.add(cx)
         c = 1 if view.distance[w] % 2 == 0 else sim.algorithm.palette // 2
         while c in forbidden:

@@ -12,6 +12,7 @@ from netgame.dynamics import (
     FixedOrder,
     FreshRandomEachRound,
     RandomInit,
+    Trace,
     _round_order,
     default_max_rounds,
     fair_round,
@@ -147,6 +148,27 @@ def test_run_already_at_equilibrium_reports_round_zero():
     assert trace.converged
     assert trace.convergence_round == 0
     assert trace.rounds_executed == 1
+
+
+def test_run_zero_rounds_keeps_only_the_initial_welfare():
+    from netgame.game import minority_cut_edges, random_profile
+    from netgame.seeds import derive_seed
+
+    g = minority_game(ring(4))
+    ne = (0, 1, 0, 1)  # an equilibrium, yet no round is played to show it
+    assert run(g, ne, FixedOrder((0, 1, 2, 3)), max_rounds=0) == Trace(
+        rounds_executed=0,
+        converged=False,
+        convergence_round=None,
+        welfare_per_round=(welfare(g, ne),),
+        switches_per_round=(),
+        cut_edges_per_round=(minority_cut_edges(g, ne),),
+        final=ne,
+    )
+    trace = run(g, RandomInit(3), FreshRandomEachRound(4), max_rounds=0)
+    assert trace.final == random_profile(g, Random(derive_seed(3, "init")))
+    with pytest.raises(ValidationError, match="max_rounds must be >= 0"):
+        run(g, ne, FixedOrder((0, 1, 2, 3)), max_rounds=-1)
 
 
 def test_explicit_orders_exhausted_errors():

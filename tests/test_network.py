@@ -111,6 +111,64 @@ def reference_shortest_cycle(net: Network) -> tuple[int | None, tuple[int, ...] 
     return best, min(found)
 
 
+def reference_cut_short_cycles(net: Network, g: int, constraint: CycleCutConstraint) -> Network:
+    """The swap loop of `cut_short_cycles` written with unbounded BFS: the
+    edge distance of ``f`` is its least endpoint distance from an endpoint
+    of ``e``, infinite in another component, and ``f`` is far when it is at
+    least ``g``. Each swap orientation and edge-set update is spelled out."""
+    edges = set(net.edges())
+    leaf_edges = edges & constraint.leaf_edges if constraint.leaf_edges is not None else None
+    eligible = edges if leaf_edges is None else leaf_edges
+    budget = 10 * len(edges) + 10
+    for _ in range(budget):
+        current = Network.from_edges(net.node_count, edges)
+        have, cycle = _shortest_cycle(current)
+        if have is None or have >= g:
+            return current
+        cycle_edges = sorted(
+            tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)]))) for i in range(len(cycle))
+        )
+        eligible_on_cycle = [e for e in cycle_edges if e in eligible]
+        if not eligible_on_cycle:
+            raise ConstructionError("shortest cycle has no eligible edge to cut")
+        pair = None
+        for e in eligible_on_cycle:
+            dist_u, dist_v = current.bfs_distances(e[0]), current.bfs_distances(e[1])
+
+            def edge_distance(f):
+                ds = [d.get(x) for d in (dist_u, dist_v) for x in f]
+                return inf if any(x is None for x in ds) else min(ds)
+
+            far = min((f for f in eligible if f != e and edge_distance(f) >= g), default=None)
+            if far is not None:
+                pair = (e, far)
+                break
+        if pair is None:
+            raise ConstructionError(
+                f"no eligible edge at distance >= {g} from any edge of cycle {cycle}; "
+                "girth target too large for n"
+            )
+        e, f = pair
+        if constraint.sides is not None:
+            side_a, _ = constraint.sides
+            u, v = e if e[0] in side_a else (e[1], e[0])
+            up, vp = f if f[0] in side_a else (f[1], f[0])
+        else:
+            u, v = e
+            up, vp = f
+        new_1, new_2 = tuple(sorted((u, vp))), tuple(sorted((up, v)))
+        edges.remove(e)
+        edges.remove(f)
+        edges.add(new_1)
+        edges.add(new_2)
+        if leaf_edges is not None:
+            leaf_edges.discard(e)
+            leaf_edges.discard(f)
+            leaf_edges.add(new_1)
+            leaf_edges.add(new_2)
+    raise ConstructionError(f"cycle cutting did not reach girth {g} within {budget} swaps")
+
+
 def edge_digest(net: Network) -> str:
     return hashlib.sha256(repr(net.edges()).encode()).hexdigest()[:16]
 
@@ -274,6 +332,64 @@ def test_cut_short_cycles_counts_other_components_as_infinitely_far():
     out = cut_short_cycles(net, 11)
     assert girth(out) is None
     assert degree_multiset(out) == degree_multiset(net)
+
+
+def test_cut_short_cycles_skips_a_cycle_edge_without_far_partner():
+    # The smallest eligible edge of some shortest cycle has no edge at
+    # distance >= 4, so the swap uses the next cycle edge.
+    out = cut_short_cycles(random_regular(16, 3, seed=5), 4)
+    assert girth(out) >= 4
+    assert edge_digest(out) == "18c77cc6156d3d7f"
+
+
+def test_cut_short_cycles_matches_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def shuffled_cover(n, seed, g):
+        """The case cutting the double cover of `random_regular(n, 3, seed)`
+        to girth g under its bipartition. The nodes are relabelled at random,
+        so the endpoint of an edge on side A may be either one."""
+        cover = bipartite_double_cover(random_regular(n, 3, seed))
+        label = list(range(2 * n))
+        Random(seed).shuffle(label)
+        net = Network.from_edges(2 * n, [(label[u], label[v]) for u, v in cover.edges()])
+        return net, g, CycleCutConstraint.preserve_bipartition(*two_coloring(net))
+
+    @st.composite
+    def cuts(draw):
+        """`random_regular(n, 3 or 4)` with n <= 40, unconstrained; the double
+        cover of a cubic graph on n <= 24 nodes, keeping its bipartition; or
+        `star_matching(k, 3)` with k <= 16, rewiring only its leaf edges."""
+        seed, g = draw(st.integers(0, 2**32 - 1)), draw(st.integers(4, 7))
+        shape = draw(st.sampled_from(["regular", "double-cover", "star-matching"]))
+        if shape == "regular":
+            d = draw(st.sampled_from([3, 4]))
+            n = draw(st.integers(d + 1, 40))
+            net = random_regular(n + (n * d) % 2, d, seed)
+            return net, g, CycleCutConstraint.unconstrained()
+        if shape == "double-cover":
+            return shuffled_cover(2 * draw(st.integers(2, 12)), seed, g)
+        net, _, leaf_edges = star_matching(2 * draw(st.integers(1, 8)), 3, seed)
+        return net, g, CycleCutConstraint.leaf_edges_only(leaf_edges)
+
+    def outcome(cut, net, g, constraint):
+        try:
+            return cut(net, g, constraint).edges()
+        except ConstructionError as exc:
+            return str(exc)
+
+    # Cases that swap several times: eight swaps, six under the bipartition,
+    # and three before the bipartition runs out of far edges.
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(cuts())
+    @hypothesis.example((random_regular(40, 3, seed=0), 5, CycleCutConstraint.unconstrained()))
+    @hypothesis.example(shuffled_cover(22, 0, 5))
+    @hypothesis.example(shuffled_cover(24, 0, 6))
+    def check(case):
+        assert outcome(cut_short_cycles, *case) == outcome(reference_cut_short_cycles, *case)
+
+    check()
 
 
 @pytest.mark.parametrize(
