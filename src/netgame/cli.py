@@ -198,6 +198,8 @@ def _generate(name: str, values: dict, seed: int, prefix: str):
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.cut_girth is None and args.constraint != "unconstrained":
+        raise ValidationError(f"--constraint {args.constraint} needs --cut-girth")
     seed = args.seed if args.seed is not None else 0
     net, leaf_edges, params = _generate(args.graph.replace("-", "_"), vars(args), seed, "--")
 

@@ -7,6 +7,7 @@ values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -92,17 +93,23 @@ class Network:
 
     def bfs_distances(self, source: int, limit: int | None = None) -> dict[int, int]:
         """Hop distances from ``source``, truncated at ``limit`` if given."""
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            if limit is not None and dist[x] >= limit:
-                continue
-            for y in self.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+        return _ball(self.adjacency, (source,), limit)
+
+
+def _ball(adjacency, sources, limit: int | None) -> dict[int, int]:
+    """Hop distances from the nearest of ``sources``, truncated at ``limit``
+    if given, over any indexable sequence of neighbor lists."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
+    while queue:
+        x = queue.popleft()
+        if limit is not None and dist[x] >= limit:
+            continue
+        for y in adjacency[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -294,46 +301,62 @@ def _shortest_cycle(net: Network) -> tuple[int | None, tuple[int, ...] | None]:
     """The girth and the lexicographically smallest of the shortest cycles
     closed by the per-root BFS trees, or ``(None, None)`` for forests.
 
-    Exact, via truncated BFS from every node: for each non-tree edge
-    ``{x,y}`` found from root ``v``, ``dist(x) + dist(y) + 1`` bounds a cycle
-    from below, and the bound is attained for some root on a shortest cycle.
-    Each candidate of the current best length is the closed walk from the
-    root down the tree to ``x``, across ``{x,y}`` and back up from ``y``,
-    written from its minimum node towards the smaller of that node's two
-    cycle neighbors. A walk whose tree paths share more than the root
-    contains a strictly shorter cycle, so only simple cycles survive to the
-    girth.
+    The minimum of `_root_cycle` over every root, each one's limit shrunk to
+    the best length found so far: every shortest cycle is found from each
+    root on it, and no root finds a shorter closed walk.
     """
-    best: int | None = None
-    smallest: tuple[int, ...] | None = None
+    best = None
     for root in range(net.node_count):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            if best is not None and dist[x] > best // 2:
-                break
-            for y in net.adjacency[x]:
-                if y == parent[x]:
-                    continue
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                    continue
-                cand = dist[x] + dist[y] + 1
-                if best is not None and cand > best:
-                    continue
-                cycle = _path_to_root(x, parent)[::-1] + _path_to_root(y, parent)[:-1]
-                i = cycle.index(min(cycle))
-                if cycle[i - 1] < cycle[(i + 1) % cand]:
-                    cycle.reverse()
-                    i = cand - 1 - i
-                cycle = tuple(cycle[i:] + cycle[:i])
-                if best is None or cand < best or cycle < smallest:
-                    best, smallest = cand, cycle
-    return best, smallest
+        found = _root_cycle(net.adjacency, root, best[0] if best else net.node_count)
+        if found is not None and (best is None or found < best):
+            best = found
+    return best or (None, None)
+
+
+def _root_cycle(adjacency, root: int, limit: int) -> tuple[int, tuple[int, ...]] | None:
+    """The shortest closed walk of length at most ``limit`` that the BFS tree
+    of ``root`` closes, and the lexicographically smallest one of that
+    length, as ``(length, cycle)``; None if there is none.
+
+    The BFS is truncated at depth ``limit // 2``, so it reads only the
+    neighbor lists within that distance of ``root``. For each non-tree edge
+    ``{x,y}``, ``dist(x) + dist(y) + 1`` bounds a cycle from below, and the
+    bound is attained from every root on a shortest cycle (Itai and Rodeh,
+    "Finding a Minimum Circuit in a Graph", SIAM J. Comput. 1978). Each
+    candidate is the closed walk from the root down the tree to ``x``,
+    across ``{x,y}`` and back up from ``y``, written from its minimum node
+    towards the smaller of that node's two cycle neighbors. A walk whose
+    tree paths share more than the root contains a strictly shorter cycle,
+    so only simple cycles survive to the girth.
+    """
+    length, smallest = limit, None
+    dist = {root: 0}
+    parent = {root: -1}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        if dist[x] > length // 2:
+            break
+        for y in adjacency[x]:
+            if y == parent[x]:
+                continue
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                parent[y] = x
+                queue.append(y)
+                continue
+            cand = dist[x] + dist[y] + 1
+            if cand > length:
+                continue
+            cycle = _path_to_root(x, parent)[::-1] + _path_to_root(y, parent)[:-1]
+            i = cycle.index(min(cycle))
+            if cycle[i - 1] < cycle[(i + 1) % cand]:
+                cycle.reverse()
+                i = cand - 1 - i
+            cycle = tuple(cycle[i:] + cycle[:i])
+            if smallest is None or cand < length or cycle < smallest:
+                length, smallest = cand, cycle
+    return None if smallest is None else (length, smallest)
 
 
 def _path_to_root(x: int, parent: dict[int, int]) -> list[int]:
@@ -359,8 +382,17 @@ def cut_short_cycles(
     parallel edges, and every swap preserves the degree sequence and the
     edge count.
 
-    ``g = "auto"`` targets ``floor(log_d n)`` for degree ``d``. The procedure
-    is deterministic.
+    The work per swap is local. Each root's shortest cycle below ``g``
+    (`_root_cycle`, limit ``g - 1``) is kept, and the cycle to cut is the
+    smallest of them. A root's BFS reads only the neighbor lists within
+    ``(g - 1) // 2`` of it, so after a swap only the roots within that
+    distance of one of the four swapped endpoints are scanned again
+    (measured in the new graph; the old graph gives the same roots). The
+    graph is held as mutable sorted neighbor lists, and one `Network` is
+    built at the end.
+
+    ``g = "auto"`` targets ``floor(log_d n)`` for degree ``d``. ``g`` is the
+    only option; the procedure is deterministic.
 
     Raises:
         ConstructionError: if no eligible far edge exists at some step
@@ -390,13 +422,15 @@ def cut_short_cycles(
     edges = set(net.edges())
     # Eligible edges: all of them, or the designated edges still in the graph.
     eligible = edges if constraint.leaf_edges is None else edges & constraint.leaf_edges
+    adjacency = [list(nbrs) for nbrs in net.adjacency]
+    found = [_root_cycle(adjacency, root, g - 1) for root in range(net.node_count)]
     budget = 10 * len(edges) + 10
 
     for _ in range(budget):
-        current = Network.from_edges(net.node_count, edges)
-        have, cycle = _shortest_cycle(current)
-        if have is None or have >= g:
-            return current
+        shortest = min((c for c in found if c is not None), default=None)
+        if shortest is None:
+            return Network.from_edges(net.node_count, edges)
+        cycle = shortest[1]
         cycle_edges = sorted(
             tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)]))) for i in range(len(cycle))
         )
@@ -408,7 +442,7 @@ def cut_short_cycles(
         # edge with no partner at distance >= g is skipped in favor of the
         # next one rather than aborting the whole construction.
         for e in eligible_on_cycle:
-            near = {x for end in e for x in current.bfs_distances(end, g - 1)}
+            near = _ball(adjacency, e, g - 1).keys()
             f = min((x for x in eligible if near.isdisjoint(x)), default=None)
             if f is not None:
                 break
@@ -427,6 +461,11 @@ def cut_short_cycles(
         for s in (edges,) if eligible is edges else (edges, eligible):
             s.difference_update((e, f))
             s.update(swapped)
+        for x, old, new in ((u, v, vp), (v, u, up), (up, vp, v), (vp, up, u)):
+            adjacency[x].remove(old)
+            insort(adjacency[x], new)
+        for root in _ball(adjacency, (u, v, up, vp), (g - 1) // 2):
+            found[root] = _root_cycle(adjacency, root, g - 1)
     raise ConstructionError(f"cycle cutting did not reach girth {g} within {budget} swaps")
 
 

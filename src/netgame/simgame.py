@@ -98,7 +98,7 @@ class SimulationGame:
     network: Network
     network_prime: Network
     balls: tuple[BallView, ...]
-    near_distances: tuple[dict[int, int], ...]  # per node, radius 2t+2
+    near_nodes: tuple[frozenset[int], ...]  # per node, the nodes within 2t+2
 
     @property
     def coloring_radius(self) -> int:
@@ -163,14 +163,14 @@ def build_simulation_game(base: GraphicalGame, algorithm: NormalFormAlgorithm) -
     t = algorithm.t
     prime = power_graph(net, 4 * t + 2)
     balls = tuple(BallView.extract(net, v, t) for v in range(net.node_count))
-    near = tuple(net.bfs_distances(v, limit=2 * t + 2) for v in range(net.node_count))
+    near = tuple(frozenset(net.bfs_distances(v, limit=2 * t + 2)) for v in range(net.node_count))
     return SimulationGame(
         base=base,
         algorithm=algorithm,
         network=net,
         network_prime=prime,
         balls=balls,
-        near_distances=near,
+        near_nodes=near,
     )
 
 
@@ -215,7 +215,7 @@ def _utility_of(sim: SimulationGame, v: int, action, profile: SimProfile) -> Fra
 
 def _pair_consistent(sim: SimulationGame, a: SimulationAction, b: SimulationAction) -> bool:
     for w, cw in a.assignment:
-        near_w = sim.near_distances[w]
+        near_w = sim.near_nodes[w]
         for x, cx in b.assignment:
             if w == x:
                 if cw != cx:
@@ -262,7 +262,7 @@ def constructive_best_response(
         if w in fixed:
             coloring[w] = fixed[w]
             continue
-        near_w = sim.near_distances[w]
+        near_w = sim.near_nodes[w]
         forbidden = set(coloring.values())
         for x, cx in fixed.items():
             if x in near_w:

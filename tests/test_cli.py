@@ -198,6 +198,18 @@ def test_validation_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("constraint", ["leaf-edges", "bipartition"])
+def test_gen_constraint_without_cut_girth_exits_1(tmp_path, capsys, constraint):
+    out = tmp_path / "g.json"
+    code = run_cli(
+        "gen", "--graph", "star-matching", "--k", "4", "--d", "3",
+        "--constraint", constraint, "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --constraint {constraint} needs --cut-girth\n"
+    assert not out.exists()
+
+
 def test_bad_cost_exits_1(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli("gen", "--graph", "ring", "--n", "4", "--out", str(g))

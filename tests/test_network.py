@@ -10,6 +10,7 @@ from netgame.errors import ConstructionError, ValidationError
 from netgame.network import (
     CycleCutConstraint,
     Network,
+    _root_cycle,
     _shortest_cycle,
     bipartite_double_cover,
     cut_short_cycles,
@@ -171,6 +172,25 @@ def reference_cut_short_cycles(net: Network, g: int, constraint: CycleCutConstra
 
 def edge_digest(net: Network) -> str:
     return hashlib.sha256(repr(net.edges()).encode()).hexdigest()[:16]
+
+
+def shuffled_cover(n, seed, g, d=3):
+    """The case cutting the double cover of `random_regular(n, d, seed)` to
+    girth g under its bipartition. The nodes are relabelled at random, so
+    the endpoint of an edge on side A may be either one."""
+    cover = bipartite_double_cover(random_regular(n, d, seed))
+    label = list(range(2 * n))
+    Random(seed).shuffle(label)
+    net = Network.from_edges(2 * n, [(label[u], label[v]) for u, v in cover.edges()])
+    return net, g, CycleCutConstraint.preserve_bipartition(*two_coloring(net))
+
+
+def cut_outcome(cut, net, g, constraint):
+    """The edge list `cut` returns, or the message of its `ConstructionError`."""
+    try:
+        return cut(net, g, constraint).edges()
+    except ConstructionError as exc:
+        return str(exc)
 
 
 # -- construction and validation
@@ -346,16 +366,6 @@ def test_cut_short_cycles_matches_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    def shuffled_cover(n, seed, g):
-        """The case cutting the double cover of `random_regular(n, 3, seed)`
-        to girth g under its bipartition. The nodes are relabelled at random,
-        so the endpoint of an edge on side A may be either one."""
-        cover = bipartite_double_cover(random_regular(n, 3, seed))
-        label = list(range(2 * n))
-        Random(seed).shuffle(label)
-        net = Network.from_edges(2 * n, [(label[u], label[v]) for u, v in cover.edges()])
-        return net, g, CycleCutConstraint.preserve_bipartition(*two_coloring(net))
-
     @st.composite
     def cuts(draw):
         """`random_regular(n, 3 or 4)` with n <= 40, unconstrained; the double
@@ -373,12 +383,6 @@ def test_cut_short_cycles_matches_reference():
         net, _, leaf_edges = star_matching(2 * draw(st.integers(1, 8)), 3, seed)
         return net, g, CycleCutConstraint.leaf_edges_only(leaf_edges)
 
-    def outcome(cut, net, g, constraint):
-        try:
-            return cut(net, g, constraint).edges()
-        except ConstructionError as exc:
-            return str(exc)
-
     # Cases that swap several times: eight swaps, six under the bipartition,
     # and three before the bipartition runs out of far edges.
     @hypothesis.settings(max_examples=100, deadline=None)
@@ -387,7 +391,42 @@ def test_cut_short_cycles_matches_reference():
     @hypothesis.example(shuffled_cover(22, 0, 5))
     @hypothesis.example(shuffled_cover(24, 0, 6))
     def check(case):
-        assert outcome(cut_short_cycles, *case) == outcome(reference_cut_short_cycles, *case)
+        assert cut_outcome(cut_short_cycles, *case) == cut_outcome(reference_cut_short_cycles, *case)
+
+    check()
+
+
+def test_local_cut_matches_full_rescan_on_random_regular_graphs():
+    # Each swap rescans only the roots near its endpoints; the reference
+    # rescans every root after every swap.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cuts(draw):
+        """`random_regular(n, 3 or 4)` with n <= 64 and g = 4-7: unconstrained,
+        with a random subset of its edges as the leaf edges, or its double
+        cover (n <= 32 per side) under the cover's bipartition."""
+        seed, g = draw(st.integers(0, 2**32 - 1)), draw(st.integers(4, 7))
+        d = draw(st.sampled_from([3, 4]))
+        constraint = draw(st.sampled_from(["unconstrained", "leaf-edges", "bipartition"]))
+        if constraint == "bipartition":
+            n = draw(st.integers(d + 1, 32))
+            return shuffled_cover(n + (n * d) % 2, seed, g, d)
+        n = draw(st.integers(d + 1, 64))
+        net = random_regular(n + (n * d) % 2, d, seed)
+        if constraint == "unconstrained":
+            return net, g, CycleCutConstraint.unconstrained()
+        p = draw(st.sampled_from([0.3, 0.6, 0.9]))
+        rng = Random(seed)
+        leaf_edges = [e for e in net.edges() if rng.random() < p]
+        return net, g, CycleCutConstraint.leaf_edges_only(leaf_edges)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(cuts())
+    @hypothesis.example((random_regular(64, 4, seed=3), 6, CycleCutConstraint.unconstrained()))
+    def check(case):
+        assert cut_outcome(cut_short_cycles, *case) == cut_outcome(reference_cut_short_cycles, *case)
 
     check()
 
@@ -518,6 +557,28 @@ def test_shortest_cycle_matches_reference_and_networkx():
     def check(net):
         assert _shortest_cycle(net) == reference_shortest_cycle(net)
         assert girth(net) == networkx_girth(net)
+
+    check()
+
+
+def test_root_cycles_under_a_fixed_limit_give_the_shortest_cycle():
+    # `cut_short_cycles` keeps one `_root_cycle` per root under the fixed
+    # limit g - 1 and takes their minimum; it must be the reference's
+    # (girth, smallest cycle) whenever the girth is within the limit.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 2**32 - 1), st.sampled_from([3, 4]), st.integers(5, 64), st.integers(2, 8)
+    )
+    def check(seed, d, n, limit):
+        net = random_regular(n + (n * d) % 2, d, seed)
+        found = [_root_cycle(net.adjacency, root, limit) for root in range(net.node_count)]
+        shortest = min((c for c in found if c is not None), default=None)
+        expected = reference_shortest_cycle(net)
+        assert shortest == (expected if expected[0] <= limit else None)
+        assert expected[0] == networkx_girth(net)
 
     check()
 
