@@ -318,16 +318,17 @@ def _root_cycle(adjacency, root: int, limit: int) -> tuple[int, tuple[int, ...]]
     of ``root`` closes, and the lexicographically smallest one of that
     length, as ``(length, cycle)``; None if there is none.
 
-    The BFS is truncated at depth ``limit // 2``, so it reads only the
-    neighbor lists within that distance of ``root``. For each non-tree edge
-    ``{x,y}``, ``dist(x) + dist(y) + 1`` bounds a cycle from below, and the
-    bound is attained from every root on a shortest cycle (Itai and Rodeh,
-    "Finding a Minimum Circuit in a Graph", SIAM J. Comput. 1978). Each
-    candidate is the closed walk from the root down the tree to ``x``,
-    across ``{x,y}`` and back up from ``y``, written from its minimum node
-    towards the smaller of that node's two cycle neighbors. A walk whose
-    tree paths share more than the root contains a strictly shorter cycle,
-    so only simple cycles survive to the girth.
+    The BFS reads only the neighbor lists within ``(limit - 1) // 2`` of
+    ``root``, less once a shorter walk is found: each candidate of length
+    ``k`` is found while reading a node at most ``(k - 1) // 2`` deep. For
+    each non-tree edge ``{x,y}``, ``dist(x) + dist(y) + 1`` bounds a cycle
+    from below, and the bound is attained from every root on a shortest
+    cycle (Itai and Rodeh, "Finding a Minimum Circuit in a Graph", SIAM J.
+    Comput. 1978). Each candidate is the closed walk from the root down the
+    tree to ``x``, across ``{x,y}`` and back up from ``y``, written from its
+    minimum node towards the smaller of that node's two cycle neighbors. A
+    walk whose tree paths share more than the root contains a strictly
+    shorter cycle, so only simple cycles survive to the girth.
     """
     length, smallest = limit, None
     dist = {root: 0}
@@ -335,7 +336,7 @@ def _root_cycle(adjacency, root: int, limit: int) -> tuple[int, tuple[int, ...]]
     queue = deque([root])
     while queue:
         x = queue.popleft()
-        if dist[x] > length // 2:
+        if dist[x] > (length - 1) // 2:
             break
         for y in adjacency[x]:
             if y == parent[x]:
@@ -385,7 +386,7 @@ def cut_short_cycles(
     The work per swap is local. Each root's shortest cycle below ``g``
     (`_root_cycle`, limit ``g - 1``) is kept, and the cycle to cut is the
     smallest of them. A root's BFS reads only the neighbor lists within
-    ``(g - 1) // 2`` of it, so after a swap only the roots within that
+    ``(g - 2) // 2`` of it, so after a swap only the roots within that
     distance of one of the four swapped endpoints are scanned again
     (measured in the new graph; the old graph gives the same roots). The
     graph is held as mutable sorted neighbor lists, and one `Network` is
@@ -464,7 +465,7 @@ def cut_short_cycles(
         for x, old, new in ((u, v, vp), (v, u, up), (up, vp, v), (vp, up, u)):
             adjacency[x].remove(old)
             insort(adjacency[x], new)
-        for root in _ball(adjacency, (u, v, up, vp), (g - 1) // 2):
+        for root in _ball(adjacency, (u, v, up, vp), (g - 2) // 2):
             found[root] = _root_cycle(adjacency, root, g - 1)
     raise ConstructionError(f"cycle cutting did not reach girth {g} within {budget} swaps")
 
