@@ -98,7 +98,7 @@ class Network:
 
 def _ball(adjacency, sources, limit: int | None) -> dict[int, int]:
     """Hop distances from the nearest of ``sources``, truncated at ``limit``
-    if given, over any indexable sequence of neighbor lists."""
+    if given; ``adjacency[x]`` lists the neighbors of ``x``."""
     dist = dict.fromkeys(sources, 0)
     queue = deque(dist)
     while queue:

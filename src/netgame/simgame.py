@@ -26,14 +26,13 @@ utility checks all come from bounded-depth breadth-first traversals.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import SimulationFault, ValidationError
 from .game import GraphicalGame, Profile
-from .network import Network, power_graph
+from .network import Network, _ball, power_graph
 
 SimProfile = tuple["SimulationAction | None", ...]
 
@@ -124,16 +123,7 @@ def greedy_mis_normal_form(delta: int) -> NormalFormAlgorithm:
 
     def truncated_join(view: BallView, coloring: dict[int, int], x: int) -> bool:
         # Nodes within t-1 of x (via induced BFS; exact for this depth).
-        dist = {x: 0}
-        queue = deque([x])
-        while queue:
-            a = queue.popleft()
-            if dist[a] >= t - 1:
-                continue
-            for b in view.adjacency[a]:
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    queue.append(b)
+        dist = _ball(view.adjacency, (x,), t - 1)
         joined: set[int] = set()
         for w in sorted(dist, key=lambda w: coloring[w]):
             if not any(y in joined for y in view.adjacency[w] if y in dist):
