@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 from random import Random
 
 from . import dynamics, game as game_mod, local_sim, lvl, network, oracle, simgame
@@ -267,12 +268,11 @@ def _cmd_poa(args: argparse.Namespace) -> int:
     if args.max_listed < 0:
         raise ValidationError(f"--max-listed must be >= 0, got {args.max_listed}")
     if args.family == "pgg-instance":
-        for needed in ("d", "k", "c"):
-            if getattr(args, needed) is None:
-                raise ValidationError(f"poa --family pgg-instance needs --{needed}")
-        report = oracle.poa_pgg_instance(
-            args.d, args.k, game_mod.parse_rational(args.c), args.seed or 0
+        d, k, c = (
+            game_mod.typed_field(vars(args), key, kind, "--")
+            for key, kind in (("d", int), ("k", int), ("c", Fraction))
         )
+        report = oracle.poa_pgg_instance(d, k, c, args.seed)
         payload = report.to_json(max_listed=args.max_listed)
     elif args.family == "minority-instance":
         if args.graph_file is None:
@@ -329,6 +329,8 @@ def _cmd_simgame(args: argparse.Namespace) -> int:
 
 
 def _cmd_frozen(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise ValidationError(f"--budget must be >= 0, got {args.budget}")
     net = network.torus(args.n)
     profile = oracle.find_frozen_configuration(net, args.k, args.seed, args.budget)
     payload: dict = {"found": profile is not None}

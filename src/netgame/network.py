@@ -26,44 +26,45 @@ Edge = tuple[int, int]
 class Network:
     """Simple undirected graph with per-node sorted adjacency lists.
 
-    Invariants (checked on construction):
-
-    * no self-loops and no repeated neighbor in any adjacency list,
-    * symmetry: ``u`` appears in ``adjacency[v]`` iff ``v`` in ``adjacency[u]``.
+    The constructor is the one structural check every graph passes: each
+    neighbor of ``v`` is a node other than ``v`` that lists ``v`` back, and
+    each adjacency list is strictly increasing, so no neighbor repeats.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.adjacency)
-        for v, nbrs in enumerate(self.adjacency):
-            if len(set(nbrs)) != len(nbrs):
-                raise ValidationError(f"node {v} has a repeated neighbor")
-            if tuple(sorted(nbrs)) != tuple(nbrs):
-                raise ValidationError(f"adjacency of node {v} is not sorted")
+        adjacency = self.adjacency
+        n = len(adjacency)
+        for v, nbrs in enumerate(adjacency):
+            prev = -1
             for u in nbrs:
                 if not 0 <= u < n:
                     raise ValidationError(f"node {v} lists out-of-range neighbor {u}")
                 if u == v:
                     raise ValidationError(f"self-loop at node {v}")
-                if v not in self.adjacency[u]:
+                if v not in adjacency[u]:
                     raise ValidationError(f"edge {v}-{u} is not symmetric")
+                if u == prev:
+                    raise ValidationError(f"duplicate edge {v}-{u}")
+                if u < prev:
+                    raise ValidationError(f"adjacency of node {v} is not sorted")
+                prev = u
 
     @classmethod
     def from_edges(cls, n: int, edges: list[Edge] | set[Edge]) -> "Network":
-        """Build a network on ``n`` nodes from an iterable of edges."""
+        """Build a network on ``n`` nodes from an iterable of edges.
+
+        Checks only that ``n >= 0`` and that both ends of every edge are
+        nodes; the constructor rejects self-loops and duplicate edges."""
         if n < 0:
             raise ValidationError("node count must be nonnegative")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge {u}-{v} out of range for n={n}")
-            if u == v:
-                raise ValidationError(f"self-loop at node {u}")
-            if v in nbrs[u]:
-                raise ValidationError(f"duplicate edge {u}-{v}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         return cls(tuple(tuple(sorted(s)) for s in nbrs))
 
     @property
@@ -269,23 +270,17 @@ def bipartite_double_cover(net: Network) -> Network:
     ``{u1,v2}`` and ``{u2,v1}``. Always bipartite; degrees preserved; the
     girth never decreases."""
     n = net.node_count
-    edges = []
-    for u, v in net.edges():
-        edges.append((u, v + n))
-        edges.append((u + n, v))
-    return Network.from_edges(2 * n, edges)
+    return Network(tuple(tuple(u + n for u in nbrs) for nbrs in net.adjacency) + net.adjacency)
 
 
 def power_graph(net: Network, r: int) -> Network:
     """Graph on the same nodes with ``u ~ v`` iff ``1 <= dist(u, v) <= r``."""
     if r < 1:
         raise ValidationError("power_graph needs r >= 1")
-    edges = set()
-    for v in range(net.node_count):
-        for u, dist in net.bfs_distances(v, limit=r).items():
-            if 0 < dist and u > v:
-                edges.add((v, u))
-    return Network.from_edges(net.node_count, edges)
+    return Network(tuple(
+        tuple(sorted(u for u in net.bfs_distances(v, limit=r) if u != v))
+        for v in range(net.node_count)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +415,18 @@ def cut_short_cycles(
                     f"edge {u}-{v} does not cross the given bipartition"
                 )
 
-    edges = set(net.edges())
     # Eligible edges: all of them, or the designated edges still in the graph.
-    eligible = edges if constraint.leaf_edges is None else edges & constraint.leaf_edges
+    eligible = set(net.edges())
+    if constraint.leaf_edges is not None:
+        eligible &= constraint.leaf_edges
     adjacency = [list(nbrs) for nbrs in net.adjacency]
     found = [_root_cycle(adjacency, root, g - 1) for root in range(net.node_count)]
-    budget = 10 * len(edges) + 10
+    budget = 10 * net.edge_count + 10
 
     for _ in range(budget):
         shortest = min((c for c in found if c is not None), default=None)
         if shortest is None:
-            return Network.from_edges(net.node_count, edges)
+            return Network(tuple(map(tuple, adjacency)))
         cycle = shortest[1]
         cycle_edges = sorted(
             tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)]))) for i in range(len(cycle))
@@ -458,10 +454,8 @@ def cut_short_cycles(
             (x, y) if constraint.sides is None or x in constraint.sides[0] else (y, x)
             for x, y in (e, f)
         )
-        swapped = {tuple(sorted((u, vp))), tuple(sorted((up, v)))}
-        for s in (edges,) if eligible is edges else (edges, eligible):
-            s.difference_update((e, f))
-            s.update(swapped)
+        eligible.difference_update((e, f))
+        eligible.update((tuple(sorted((u, vp))), tuple(sorted((up, v)))))
         for x, old, new in ((u, v, vp), (v, u, up), (up, vp, v), (vp, up, u)):
             adjacency[x].remove(old)
             insort(adjacency[x], new)
@@ -558,7 +552,7 @@ def graph_from_json(obj: dict) -> Network:
             raise ValidationError(f"malformed edge entry {item!r}")
         if not item[0] < item[1]:
             raise ValidationError(f"edge {item} must be listed with u < v")
-    net = Network.from_edges(n, obj["edges"])  # rejects duplicate and out-of-range edges
+    net = Network.from_edges(n, obj["edges"])
     if type(obj["max_degree"]) is not int or net.max_degree != obj["max_degree"]:
         raise ValidationError(
             f"declared max_degree {obj['max_degree']} != actual {net.max_degree}"

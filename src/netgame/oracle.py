@@ -301,6 +301,8 @@ def find_frozen_configuration(
     """
     if k < 2:
         raise ValidationError("frozen-configuration search needs k >= 2")
+    if budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
     game = coloring_game(net, k)
     engine = BestResponseEngine(game)
     n = net.node_count

@@ -111,6 +111,27 @@ def test_simgame_negative_orders_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frozen", "--n", "3", "--k", "3", "--budget", "-1"], "--budget must be >= 0, got -1"),
+        (["poa", "--family", "pgg-instance", "--k", "2", "--c", "1/2"],
+         "--d must be an integer, got nothing"),
+        (["poa", "--family", "pgg-instance", "--d", "3", "--c", "1/2"],
+         "--k must be an integer, got nothing"),
+        (["poa", "--family", "pgg-instance", "--d", "3", "--k", "2"],
+         "--c must be a rational 'p/q', got nothing"),
+        (["poa", "--family", "pgg-instance", "--d", "3", "--k", "2", "--c", "half"],
+         "--c must be a rational 'p/q', got 'half'"),
+    ],
+)
+def test_flag_faults_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_ineff_subcommand(tmp_path):
     g = tmp_path / "g.json"
     run_cli("gen", "--graph", "ring", "--n", "8", "--out", str(g))

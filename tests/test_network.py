@@ -602,26 +602,199 @@ def test_graph_json_round_trip():
     assert graph_from_json(obj).edges() == net.edges()
 
 
+MALFORMED_GRAPHS = [  # (mangle of graph_to_json(ring(4)), the one fault's message)
+    (lambda o: o["edges"].append([1, 0]), "edge [1, 0] must be listed with u < v"),
+    (lambda o: o["edges"].append(o["edges"][0]), "duplicate edge 0-1"),
+    (lambda o: o.update(max_degree=99), "declared max_degree 99 != actual 2"),
+    (lambda o: o.pop("n"), "graph JSON missing field 'n'"),
+    (lambda o: o["edges"].append([0, 0]), "edge [0, 0] must be listed with u < v"),
+    (lambda o: o.update(edges=17), "graph JSON field 'edges' must be a list of pairs"),
+    (lambda o: o["edges"].append([0, "x"]), "malformed edge entry [0, 'x']"),
+    (lambda o: o.update(n=True, edges=[], max_degree=0),  # JSON true is not an int
+     "graph JSON field 'n' must be a nonnegative integer"),
+    (lambda o: o.update(n=2, edges=[[False, True]], max_degree=1),
+     "malformed edge entry [False, True]"),
+    (lambda o: o.update(n=2, edges=[[0, 1]], max_degree=True), "declared max_degree True != actual 1"),
+    (lambda o: o["edges"].insert(1, [0, 7]), "edge 0-7 out of range for n=4"),
+    (lambda o: o["edges"].append([-1, 2]), "edge -1-2 out of range for n=4"),
+    (lambda o: o["edges"].append([2, 3]), "duplicate edge 2-3"),
+]
+
+
 @pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda o: o["edges"].append([1, 0]),  # asymmetric order
-        lambda o: o["edges"].append(o["edges"][0]),  # duplicate
-        lambda o: o.update(max_degree=99),
-        lambda o: o.pop("n"),
-        lambda o: o["edges"].append([0, 0]),
-        lambda o: o.update(edges=17),
-        lambda o: o["edges"].append([0, "x"]),
-        lambda o: o.update(n=True, edges=[], max_degree=0),  # JSON true is not an int
-        lambda o: o.update(n=2, edges=[[False, True]], max_degree=1),
-        lambda o: o.update(n=2, edges=[[0, 1]], max_degree=True),
-    ],
+    "mangle, message",
+    [pytest.param(*case, id=f"<lambda>{i}") for i, case in enumerate(MALFORMED_GRAPHS)],
 )
-def test_graph_json_rejects_malformed(mangle):
+def test_graph_json_rejects_malformed(mangle, message):
     obj = graph_to_json(ring(4))
     mangle(obj)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         graph_from_json(obj)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        (((1,), ()), "edge 0-1 is not symmetric"),
+        (((1, 1), (0, 0)), "duplicate edge 0-1"),
+        (((2, 1), (0,), (0,)), "adjacency of node 0 is not sorted"),
+        (((0,),), "self-loop at node 0"),
+        (((3,), ()), "node 0 lists out-of-range neighbor 3"),
+        (((-1,), ()), "node 0 lists out-of-range neighbor -1"),
+    ],
+)
+def test_network_constructor_names_each_fault(adjacency, message):
+    with pytest.raises(ValidationError) as exc:
+        Network(adjacency)
+    assert str(exc.value) == message
+
+
+def reference_graph_from_json(obj) -> Network:
+    """`graph_from_json` with three-stage validation: the shape loop, an
+    edge-by-edge build that rejects range faults, self-loops and duplicates
+    in list order, and a re-check of every sorted adjacency list."""
+    if not isinstance(obj, dict):
+        raise ValidationError("graph JSON must be an object")
+    for key in ("n", "edges", "max_degree"):
+        if key not in obj:
+            raise ValidationError(f"graph JSON missing field {key!r}")
+    n = obj["n"]
+    if type(n) is not int or n < 0:
+        raise ValidationError("graph JSON field 'n' must be a nonnegative integer")
+    if not isinstance(obj["edges"], list):
+        raise ValidationError("graph JSON field 'edges' must be a list of pairs")
+    for item in obj["edges"]:
+        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
+            raise ValidationError(f"malformed edge entry {item!r}")
+        if not item[0] < item[1]:
+            raise ValidationError(f"edge {item} must be listed with u < v")
+    nbrs = [set() for _ in range(n)]
+    for u, v in obj["edges"]:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"edge {u}-{v} out of range for n={n}")
+        if u == v:
+            raise ValidationError(f"self-loop at node {u}")
+        if v in nbrs[u]:
+            raise ValidationError(f"duplicate edge {u}-{v}")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+    for v, row in enumerate(adjacency):
+        if len(set(row)) != len(row):
+            raise ValidationError(f"node {v} has a repeated neighbor")
+        for u in row:
+            if not 0 <= u < n:
+                raise ValidationError(f"node {v} lists out-of-range neighbor {u}")
+            if u == v:
+                raise ValidationError(f"self-loop at node {v}")
+            if v not in adjacency[u]:
+                raise ValidationError(f"edge {v}-{u} is not symmetric")
+    max_degree = max(map(len, adjacency), default=0)
+    if type(obj["max_degree"]) is not int or max_degree != obj["max_degree"]:
+        raise ValidationError(f"declared max_degree {obj['max_degree']} != actual {max_degree}")
+    return Network(adjacency)
+
+
+# Single faults for `test_graph_from_json_matches_three_stage_validation`:
+# each mutates a valid graph dict in place, given the dict and a Random.
+def _insert(obj, rng, item):
+    obj["edges"].insert(rng.randrange(len(obj["edges"]) + 1), item)
+
+
+def _out_of_range(obj, rng):
+    n = obj["n"]
+    _insert(obj, rng, rng.choice([[rng.randrange(n), n + rng.randrange(3)], [-1, rng.randrange(n)]]))
+
+
+def _duplicate(obj, rng):
+    if obj["edges"]:
+        _insert(obj, rng, list(rng.choice(obj["edges"])))
+
+
+def _reversed(obj, rng):
+    u, v = rng.sample(range(obj["n"]), 2)
+    _insert(obj, rng, [max(u, v), min(u, v)])
+
+
+GRAPH_FAULTS = [
+    _out_of_range,
+    _duplicate,
+    _reversed,
+    lambda obj, rng: _insert(obj, rng, [rng.randrange(obj["n"])] * 2),
+    lambda obj, rng: _insert(obj, rng, rng.choice([5, [1], [0, 1, 2], [0, "x"], [True, 1], [0.0, 1]])),
+    lambda obj, rng: obj.update(max_degree=rng.choice([obj["max_degree"] + 1, True, "2"])),
+    lambda obj, rng: obj.update(n=rng.choice([-1, True, "5", 1.5, obj["n"] - 1])),
+    lambda obj, rng: obj.pop(rng.choice(["n", "edges", "max_degree"])),
+    lambda obj, rng: obj.update(edges=rng.choice([17, {}, "edges"])),
+]
+
+
+def test_graph_from_json_matches_three_stage_validation():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graph_dicts(draw):
+        n = draw(st.integers(2, 8))
+        pairs = list(combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        obj = graph_to_json(Network.from_edges(n, edges))
+        obj["edges"] = [list(e) for e in edges]  # the drawn order, not sorted
+        rng = Random(draw(st.integers(0, 2**32)))
+        applied = 0
+        for fault in draw(st.lists(st.sampled_from(GRAPH_FAULTS), max_size=3)):
+            n, edges, max_degree = (obj.get(key) for key in ("n", "edges", "max_degree"))
+            if type(n) is int and n >= 2 and isinstance(edges, list) and type(max_degree) is int:
+                fault(obj, rng)  # a fault needs the fields it mutates intact
+                applied += 1
+        return obj, applied
+
+    def outcome(load, obj):
+        try:
+            return load(obj)
+        except ValidationError as exc:
+            return str(exc)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(graph_dicts())
+    def check(case):
+        obj, faults = case
+        got, want = outcome(graph_from_json, obj), outcome(reference_graph_from_json, obj)
+        if faults <= 1:
+            assert got == want
+        else:  # with several faults, either may be named first
+            assert got == want or (isinstance(got, str) and isinstance(want, str))
+
+    check()
+
+
+def test_double_cover_and_power_graph_match_edge_list_builds():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    graphs = st.one_of(
+        st.integers(3, 12).map(ring),
+        st.integers(3, 6).map(torus),
+        st.tuples(st.integers(3, 11), st.sampled_from([3, 4]), st.integers(0, 99)).map(
+            lambda t: random_regular(2 * t[0], t[1], t[2])
+        ),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(graphs, st.integers(1, 3))
+    def check(net, r):
+        n = net.node_count
+        cover = [(u, v + n) for u, v in net.edges()] + [(u + n, v) for u, v in net.edges()]
+        assert bipartite_double_cover(net) == Network.from_edges(2 * n, cover)
+        power = {
+            (v, u)
+            for v in range(n)
+            for u, dist in net.bfs_distances(v, limit=r).items()
+            if 0 < dist and u > v
+        }
+        assert power_graph(net, r) == Network.from_edges(n, power)
+
+    check()
 
 
 def test_generator_outputs_pass_validator():

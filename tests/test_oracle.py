@@ -279,6 +279,12 @@ def test_frozen_configuration_not_found_for_k5():
     assert find_frozen_configuration(net, 5, seed=1, budget=5 * 10**4) is None
 
 
+def test_frozen_configuration_rejects_negative_budget():
+    assert find_frozen_configuration(torus(3), 3, seed=0, budget=0) is None
+    with pytest.raises(ValidationError, match=r"^budget must be >= 0, got -1$"):
+        find_frozen_configuration(torus(3), 3, seed=0, budget=-1)
+
+
 def test_minority_poa_report_flags_convention_gap():
     net = bipartite_double_cover(ring(4))  # 2-regular bipartite n=8
     payload = minority_poa_report(minority_game(net))
