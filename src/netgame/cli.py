@@ -62,6 +62,11 @@ def _game_descriptor(args: argparse.Namespace) -> dict:
     return {"game": args.game, **{key: getattr(args, key) for key in params}}
 
 
+def _load_game(args: argparse.Namespace) -> game_mod.GraphicalGame:
+    """The game of the game flags on the ``--graph-file`` network (``g.network``)."""
+    return game_mod.game_from_descriptor(_game_descriptor(args), _load_graph(args.graph_file), "--")
+
+
 # ---------------------------------------------------------------------------
 # Experiment configs
 
@@ -254,10 +259,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    net = _load_graph(args.graph_file)
-    g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
+    g = _load_game(args)
     profile = dynamics.profile_from_json(_load_json(args.profile, "profile"), g)
-    verdict = lvl.verify(lvl.compile_lvl(g), net, profile)
+    verdict = lvl.verify(lvl.compile_lvl(g), g.network, profile)
     payload = verdict.to_json()
     payload["meta"] = _meta(args)
     _write_json(args.out, payload)
@@ -282,9 +286,7 @@ def _cmd_poa(args: argparse.Namespace) -> int:
     elif args.family == "enumerate":
         if args.graph_file is None or args.game is None:
             raise ValidationError("poa --family enumerate needs --graph-file and --game")
-        net = _load_graph(args.graph_file)
-        g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
-        payload = oracle.enumerate_ne(g).to_json(max_listed=args.max_listed)
+        payload = oracle.enumerate_ne(_load_game(args)).to_json(max_listed=args.max_listed)
     else:
         raise ValidationError(f"unknown poa family {args.family!r}")
     payload["meta"] = _meta(args)
@@ -293,9 +295,7 @@ def _cmd_poa(args: argparse.Namespace) -> int:
 
 
 def _cmd_ineff(args: argparse.Namespace) -> int:
-    net = _load_graph(args.graph_file)
-    g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
-    report = oracle.measured_inefficiency(g, args.T, args.trials, args.seed)
+    report = oracle.measured_inefficiency(_load_game(args), args.T, args.trials, args.seed)
     payload = report.to_json()
     payload["meta"] = _meta(args)
     _write_json(args.out, payload)
@@ -321,7 +321,7 @@ def _cmd_simgame(args: argparse.Namespace) -> int:
         projection = simgame.project(sim, profile)
         if not lvl.verify(verifier, net, projection).accepted:
             projection_ok = False
-    payload = simgame.simulation_report(sim, True, projection_ok)
+    payload = simgame.simulation_report(sim, projection_ok)
     payload["orders_tested"] = args.orders
     payload["meta"] = _meta(args)
     _write_json(args.out, payload)
@@ -345,9 +345,8 @@ def _cmd_frozen(args: argparse.Namespace) -> int:
 
 
 def _cmd_local_sim(args: argparse.Namespace) -> int:
-    net = _load_graph(args.graph_file)
-    g = game_mod.game_from_descriptor(_game_descriptor(args), net, "--")
-    coloring = local_sim.distance_coloring(net, 2)
+    g = _load_game(args)
+    coloring = local_sim.distance_coloring(g.network, 2)
     init = game_mod.random_profile(g, Random(derive_seed(args.seed, "init")))
     final, orders = local_sim.simulate_fair_rounds(g, init, coloring, args.rounds)
     payload = coloring.to_json()

@@ -25,15 +25,7 @@ from math import ceil, log2
 from random import Random
 
 from .errors import ValidationError
-from .game import (
-    BestResponseEngine,
-    GraphicalGame,
-    Profile,
-    best_responses,
-    is_nash_equilibrium,
-    random_profile,
-    validate_profile,
-)
+from .game import BestResponseEngine, GraphicalGame, Profile, random_profile, validate_profile
 from .seeds import derive_seed
 
 
@@ -106,20 +98,17 @@ def _validate_order(net_size: int, order: tuple[int, ...]) -> None:
 
 def preferred_best_response(game: GraphicalGame, profile: Profile, v: int) -> int:
     """Best-response index for ``v``: the current action if it is among the
-    maximizers, else the first maximizer in tie-break order. `step` uses it;
-    sweeps use `BestResponseEngine`, which memoises the same choice."""
-    best = best_responses(game, v, profile)
-    return profile[v] if profile[v] in best else best[0]
+    maximizers, else the first maximizer in tie-break order."""
+    return step(game, profile, v)[v]
 
 
 def step(game: GraphicalGame, profile: Profile, v: int) -> Profile:
-    """One node plays: ``profile`` with ``v``'s entry best-responded."""
+    """One node plays: ``profile`` with ``v``'s entry best-responded by a
+    one-node engine sweep, which runs the kind's switch check."""
     validate_profile(game, profile)
-    current = list(profile)
-    current[v] = preferred_best_response(game, profile, v)
-    if current[v] != profile[v] and game.kind.check_switch is not None:
-        game.kind.check_switch(game, current, v)
-    return tuple(current)
+    engine = BestResponseEngine(game, profile)
+    engine.sweep((v,))
+    return tuple(engine.profile)
 
 
 def fair_round(game: GraphicalGame, profile: Profile, order: tuple[int, ...]) -> Profile:
@@ -127,7 +116,7 @@ def fair_round(game: GraphicalGame, profile: Profile, order: tuple[int, ...]) ->
     validate_profile(game, profile)
     _validate_order(game.network.node_count, order)
     engine = BestResponseEngine(game, profile)
-    engine.sweep(order, game.kind.check_switch)
+    engine.sweep(order)
     return tuple(engine.profile)
 
 
@@ -146,8 +135,7 @@ def run(
     Deterministic given the initial profile (or its seed) and the policy's
     seeds: identical inputs reproduce identical traces.
     """
-    net = game.network
-    n = net.node_count
+    n = game.network.node_count
     if isinstance(init, RandomInit):
         profile = random_profile(game, Random(derive_seed(init.seed, "init")))
     else:
@@ -171,7 +159,7 @@ def run(
     for round_index in range(1, max_rounds + 1):
         order = _round_order(policy, round_index, n)
         _validate_order(n, order)
-        switches = engine.sweep(order, kind.check_switch)
+        switches = engine.sweep(order)
         rounds_executed = round_index
         welfares.append(engine.welfare())
         switch_counts.append(switches)
@@ -226,8 +214,7 @@ def worst_case_convergence(
     deterministic function of the profile and its permutation, this is
     equivalent to enumerating all ``(n!)^round_budget`` sequences.
     """
-    net = game.network
-    n = net.node_count
+    n = game.network.node_count
     if n > 6 or round_budget > 3:
         raise ValidationError("worst_case_convergence is guarded to n <= 6, budget <= 3")
     if round_budget < 1:
@@ -242,7 +229,8 @@ def worst_case_convergence(
         key = (profile, rounds_left)
         if key in memo:
             return memo[key]
-        if is_nash_equilibrium(game, profile):
+        engine.reset(profile)
+        if engine.sweep(range(n)) == 0:  # a zero-switch round: an equilibrium
             result: int | Exceeded = 0
         elif rounds_left <= 1:
             # The single remaining round must contain a switch, so no
@@ -252,7 +240,7 @@ def worst_case_convergence(
             worst_tail = 0
             for order in perms:
                 engine.reset(profile)
-                engine.sweep(order, game.kind.check_switch)
+                engine.sweep(order)
                 tail = worst(tuple(engine.profile), rounds_left - 1)
                 if isinstance(tail, Exceeded):
                     worst_tail = EXCEEDED

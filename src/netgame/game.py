@@ -124,6 +124,8 @@ class BestResponseEngine:
     `best_response_payoffs`, the payoff numerators over the common
     denominator ``den`` (rescaled by the lcm when needed, never rounded) and
     per own action the preferred response. All nodes share one action list.
+    Best-response switches go through `switch`, which runs the kind's
+    ``check_switch``; `move` alone is unchecked, for profile walks.
     """
 
     def __init__(self, game: GraphicalGame, profile: Profile | None = None) -> None:
@@ -131,6 +133,7 @@ class BestResponseEngine:
         if any(a != acts for a in game.actions):
             raise ValidationError("the best-response engine needs one action list for all nodes")
         self.game, self.acts, self.nbrs = game, acts, game.network.adjacency
+        self.check_switch = game.kind.check_switch
         self.radix = game.network.max_degree + 1
         self.weight = [self.radix**a for a in range(len(acts))]
         self.table: dict[int, tuple[list[int], tuple[int, ...]]] = {}
@@ -173,20 +176,23 @@ class BestResponseEngine:
         self.table[key] = (pays, pref)
         return pays, pref
 
-    def sweep(self, order: Iterable[int], check_switch: Callable | None = None) -> int:
-        """Each node of ``order`` in turn takes its preferred response, with
-        ``check_switch(game, profile, v)`` after a switch; returns the switches."""
-        prof, key, table = self.profile, self.key, self.table
+    def sweep(self, order: Iterable[int]) -> int:
+        """Each node of ``order`` takes its preferred response by `switch`; counts switches."""
+        prof, key, table, switch = self.profile, self.key, self.table, self.switch
         switches = 0
         for v in order:
             a = prof[v]
             b = (table.get(key[v]) or self.entry(v, key[v]))[1][a]
             if b != a:
-                self.move(v, b)
+                switch(v, b)
                 switches += 1
-                if check_switch is not None:
-                    check_switch(self.game, prof, v)
         return switches
+
+    def switch(self, v: int, b: int) -> None:
+        """`move` ``v`` to ``b``, then ``check_switch(game, profile, v)``."""
+        self.move(v, b)
+        if self.check_switch is not None:
+            self.check_switch(self.game, self.profile, v)
 
     def move(self, v: int, b: int) -> None:
         """Set ``v``'s action to ``b``, updating keys, payoffs and welfare."""

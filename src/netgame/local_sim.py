@@ -8,6 +8,9 @@ classes ``1..palette`` in turn and therefore costs ``palette`` rounds of
 synchronous message passing; the greedy coloring below keeps the palette
 within ``max_degree**2 + 1`` at radius 2.
 
+Every switch runs the game kind's switch check (`BestResponseEngine.switch`)
+and every round its round check, as in `dynamics.run`.
+
 The coloring itself is computed centrally; reported round counts cover the
 schedule phase only and say so in output metadata.
 """
@@ -93,6 +96,7 @@ def simulate_fair_rounds(
     Raises:
         ValidationError: if the coloring is not a proper distance-2
             coloring of the game's network.
+        SimulationFault: if a switch or a round breaks a kind invariant.
     """
     if coloring.radius != 2:
         raise ValidationError("the schedule needs a distance-2 coloring")
@@ -108,11 +112,14 @@ def simulate_fair_rounds(
     schedule = [classes[color] for color in sorted(classes)]
 
     engine = BestResponseEngine(game, init)
-    for _ in range(rounds):
+    prof, check_round = engine.profile, game.kind.check_round
+    for r in range(1, rounds + 1):
         for members in schedule:
-            moves = [engine.entry(v, engine.key[v])[1][engine.profile[v]] for v in members]
+            moves = [engine.entry(v, engine.key[v])[1][prof[v]] for v in members]
             for v, choice in zip(members, moves):
-                if choice != engine.profile[v]:
-                    engine.move(v, choice)
+                if choice != prof[v]:  # no neighbor of v is in its class
+                    engine.switch(v, choice)
+        if check_round is not None:
+            check_round(game, prof, r)
     order = tuple(v for members in schedule for v in members)
-    return tuple(engine.profile), [order] * rounds
+    return tuple(prof), [order] * rounds

@@ -1,17 +1,27 @@
 """Differential tests of the integer neighbor-count engine (`BestResponseEngine`)
 against the engine-free references: `reference_round` plus `welfare` for
-`run`, per-node deviation checks for `verify`, sequential replay for
-`simulate_fair_rounds`, and a definitional scan (every profile through
-`is_nash_equilibrium` and `welfare`) for the odometer walk of `enumerate_ne`."""
+`run` and `step`, per-node deviation checks for `verify`, sequential replay
+for `simulate_fair_rounds`, a search by `is_nash_equilibrium` and
+`reference_round` for `worst_case_convergence`, and a definitional scan
+(every profile through `is_nash_equilibrium` and `welfare`) for the
+odometer walk of `enumerate_ne`."""
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
 
-from netgame.dynamics import ExplicitOrders, FixedOrder, run
+from netgame.dynamics import (
+    EXCEEDED,
+    ExplicitOrders,
+    FixedOrder,
+    preferred_best_response,
+    run,
+    step,
+    worst_case_convergence,
+)
 from netgame.game import (
     BestResponseEngine,
     coloring_game,
@@ -26,6 +36,7 @@ from netgame.lvl import compile_lvl, verify
 from netgame.local_sim import distance_coloring, simulate_fair_rounds
 from netgame.network import Network, ring
 from netgame.oracle import enumerate_ne
+from conftest import path_graph, star_graph
 from test_dynamics import reference_round
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -93,6 +104,16 @@ def test_run_matches_reference_rounds(case):
 
 @SETTINGS
 @hypothesis.given(cases())
+def test_step_matches_a_one_node_reference_round(case):
+    game, profile, rng = case
+    v = rng.randrange(game.network.node_count)
+    after = reference_round(game, profile, (v,))[0]
+    assert step(game, profile, v) == after
+    assert preferred_best_response(game, profile, v) == after[v]
+
+
+@SETTINGS
+@hypothesis.given(cases())
 def test_verify_matches_per_node_deviation_check(case):
     game, profile, _ = case
     n = game.network.node_count
@@ -117,6 +138,45 @@ def test_simulate_fair_rounds_matches_sequential_replay(case, rounds):
     for order in orders:
         profile, _ = reference_round(game, profile, order)
     assert final == profile
+
+
+def reference_worst_case(game, init, budget):
+    """`worst_case_convergence` by `is_nash_equilibrium` and `reference_round`:
+    memoised over (profile, rounds left), every order tried at each step."""
+    perms = list(permutations(range(game.network.node_count)))
+    memo = {}
+
+    def worst(profile, left):
+        if (profile, left) not in memo:
+            if is_nash_equilibrium(game, profile):
+                memo[profile, left] = 0
+            elif left <= 1:
+                memo[profile, left] = EXCEEDED
+            else:
+                tails = [worst(reference_round(game, profile, o)[0], left - 1) for o in perms]
+                memo[profile, left] = EXCEEDED if EXCEEDED in tails else 1 + max(tails)
+        return memo[profile, left]
+
+    return worst(tuple(init), budget)
+
+
+@SETTINGS
+@hypothesis.given(cases(5), st.integers(1, 3))
+def test_worst_case_convergence_matches_reference_search(case, budget):
+    game, profile, _ = case
+    assert worst_case_convergence(game, profile, budget) == reference_worst_case(game, profile, budget)
+
+
+# Five-node graphs on which the worst case reaches 2 rounds and EXCEEDED.
+@pytest.mark.parametrize("make_net", [lambda: ring(5), lambda: path_graph(5), lambda: star_graph(5)],
+                         ids=["ring5", "path5", "star5"])
+@pytest.mark.parametrize("kind", sorted(GAMES))
+def test_worst_case_convergence_matches_reference_search_on_five_nodes(make_net, kind):
+    game, rng = GAMES[kind](make_net()), Random(0)
+    for _ in range(8):
+        init = tuple(rng.randrange(len(game.actions[0])) for _ in range(5))
+        for budget in (1, 2, 3):
+            assert worst_case_convergence(game, init, budget) == reference_worst_case(game, init, budget)
 
 
 def reference_scan(game):

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from netgame.errors import ValidationError
+from netgame.errors import SimulationFault, ValidationError
 from netgame.dynamics import fair_round, step
 from netgame.game import coloring_game, minority_game, pgg_game, random_profile
 from netgame.local_sim import (
@@ -76,6 +77,22 @@ def test_final_profile_matches_sequential_replay():
         for order in orders:
             replay = fair_round(g, replay, order)
         assert replay == final
+
+
+def test_replay_runs_the_switch_check():
+    # A coordination utility under the anti-coordination kind: node 0 (color
+    # 1) switches to match both neighbors, so the cut shrinks.
+    g = minority_game(ring(6))
+    inverted = replace(g, utility_fn=lambda v, own, nbrs: -g.utility_fn(v, own, nbrs))
+    with pytest.raises(SimulationFault, match="switch of node 0 failed to add a cut edge"):
+        simulate_fair_rounds(inverted, (0, 1) * 3, distance_coloring(ring(6), 2), 1)
+
+
+def test_replay_runs_the_round_check():
+    # A utility that always prefers producing: every node produces in round 1.
+    eager = replace(pgg_game(ring(6), HALF), utility_fn=lambda v, own, nbrs: Fraction(own == "P"))
+    with pytest.raises(SimulationFault, match="not independent after round 1: nodes 0 and 1 produce"):
+        simulate_fair_rounds(eager, (0,) * 6, distance_coloring(ring(6), 2), 2)
 
 
 def test_each_node_acts_once_per_round():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from collections import deque
 from itertools import combinations
@@ -708,8 +709,8 @@ def _out_of_range(obj, rng):
 
 
 def _duplicate(obj, rng):
-    if obj["edges"]:
-        _insert(obj, rng, list(rng.choice(obj["edges"])))
+    if obj["edges"]:  # the chosen entry may be malformed, e.g. 5
+        _insert(obj, rng, copy.copy(rng.choice(obj["edges"])))
 
 
 def _reversed(obj, rng):
@@ -717,17 +718,31 @@ def _reversed(obj, rng):
     _insert(obj, rng, [max(u, v), min(u, v)])
 
 
+MALFORMED_EDGES = [5, [1], [0, 1, 2], [0, "x"], [True, 1], [0.0, 1]]
 GRAPH_FAULTS = [
     _out_of_range,
     _duplicate,
     _reversed,
     lambda obj, rng: _insert(obj, rng, [rng.randrange(obj["n"])] * 2),
-    lambda obj, rng: _insert(obj, rng, rng.choice([5, [1], [0, 1, 2], [0, "x"], [True, 1], [0.0, 1]])),
+    lambda obj, rng: _insert(obj, rng, rng.choice(MALFORMED_EDGES)),
     lambda obj, rng: obj.update(max_degree=rng.choice([obj["max_degree"] + 1, True, "2"])),
     lambda obj, rng: obj.update(n=rng.choice([-1, True, "5", 1.5, obj["n"] - 1])),
     lambda obj, rng: obj.pop(rng.choice(["n", "edges", "max_degree"])),
     lambda obj, rng: obj.update(edges=rng.choice([17, {}, "edges"])),
 ]
+
+
+@pytest.mark.parametrize("entry", MALFORMED_EDGES, ids=repr)
+def test_graph_faults_apply_on_top_of_a_malformed_entry(entry):
+    # A draw may apply a fault after an earlier one inserted a malformed
+    # entry; each fault must still apply, and both loaders must reject.
+    for i, fault in enumerate(GRAPH_FAULTS):
+        for edges in ([entry], [[0, 1], entry], [entry, [1, 2]]):
+            obj = {"n": 3, "edges": copy.deepcopy(edges), "max_degree": 1}
+            fault(obj, Random(i))
+            for load in (graph_from_json, reference_graph_from_json):
+                with pytest.raises(ValidationError):
+                    load(obj)
 
 
 def test_graph_from_json_matches_three_stage_validation():

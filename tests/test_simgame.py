@@ -204,7 +204,7 @@ def test_make_action_validates_coloring(ring64_sim):
 
 
 def test_simulation_report_fields(ring64_sim):
-    payload = simulation_report(ring64_sim, True, True)
+    payload = simulation_report(ring64_sim, True)
     assert payload["t"] == 5
     assert payload["palette"] == 4097
     assert payload["n_prime_degree"] == 44
