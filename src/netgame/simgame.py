@@ -19,20 +19,20 @@ ball), so they are never enumerated: best responses are constructed
 greedily, which always succeeds because the palette ``max_degree**(2t+2)+1``
 exceeds the number of constraints any single ball node can face.
 
-Everything here is computed from per-node views of radius at most
-``4t + 2``: the derived edges, the ball colorings, and the pairwise
-utility checks all come from bounded-depth breadth-first traversals.
+Everything here is read from one breadth-first traversal of radius ``4t + 2``
+per node, and each action indexes its coloring by node and by color, so the
+pairwise utility check is linear in the ball.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .errors import SimulationFault, ValidationError
 from .game import GraphicalGame, Profile
-from .network import Network, _ball, power_graph
+from .network import Network, _ball
 
 SimProfile = tuple["SimulationAction | None", ...]
 
@@ -51,8 +51,8 @@ class BallView:
     distance: dict[int, int]
 
     @classmethod
-    def extract(cls, net: Network, center: int, radius: int) -> "BallView":
-        dist = net.bfs_distances(center, limit=radius)
+    def from_distances(cls, net: Network, center: int, dist: dict[int, int]) -> "BallView":
+        """The ball on the keys of ``dist``, their distances from ``center``."""
         nodes = set(dist)
         order = tuple(sorted(nodes, key=lambda w: (dist[w], w)))
         adj = {
@@ -82,10 +82,14 @@ class SimulationAction:
     Built only through `make_action`, which runs the algorithm itself, so
     the pairing invariant holds for every reachable instance. The empty
     action is represented by ``None`` wherever actions may appear.
+    ``color_of`` and ``node_of`` index the assignment by node and by color
+    (exact, as ball colors are distinct) and take no part in equality or hashing.
     """
 
     assignment: tuple[tuple[int, int], ...]
     output: object
+    color_of: dict[int, int] = field(compare=False, repr=False)
+    node_of: dict[int, int] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -151,16 +155,19 @@ def build_simulation_game(base: GraphicalGame, algorithm: NormalFormAlgorithm) -
             f"algorithm handles at most {algorithm.delta}"
         )
     t = algorithm.t
-    prime = power_graph(net, 4 * t + 2)
-    balls = tuple(BallView.extract(net, v, t) for v in range(net.node_count))
-    near = tuple(frozenset(net.bfs_distances(v, limit=2 * t + 2)) for v in range(net.node_count))
+    rows, balls, near = [], [], []
+    for v in range(net.node_count):
+        dist = net.bfs_distances(v, limit=4 * t + 2)
+        rows.append(tuple(sorted(u for u in dist if u != v)))
+        near.append(frozenset(u for u, d in dist.items() if d <= 2 * t + 2))
+        balls.append(BallView.from_distances(net, v, {u: d for u, d in dist.items() if d <= t}))
     return SimulationGame(
         base=base,
         algorithm=algorithm,
         network=net,
-        network_prime=prime,
-        balls=balls,
-        near_nodes=near,
+        network_prime=Network(tuple(rows)),
+        balls=tuple(balls),
+        near_nodes=tuple(near),
     )
 
 
@@ -175,8 +182,9 @@ def make_action(sim: SimulationGame, v: int, coloring: dict[int, int]) -> Simula
     if any(not 1 <= c <= sim.algorithm.palette for c in values):
         raise ValidationError("ball colors must lie in 1..palette")
     output = sim.algorithm.decide(view, coloring)
+    assignment = tuple(sorted(coloring.items()))
     return SimulationAction(
-        assignment=tuple(sorted(coloring.items())), output=output
+        assignment, output, dict(assignment), {c: w for w, c in assignment}
     )
 
 
@@ -204,14 +212,17 @@ def _utility_of(sim: SimulationGame, v: int, action, profile: SimProfile) -> Fra
 
 
 def _pair_consistent(sim: SimulationGame, a: SimulationAction, b: SimulationAction) -> bool:
-    for w, cw in a.assignment:
-        near_w = sim.near_nodes[w]
-        for x, cx in b.assignment:
-            if w == x:
-                if cw != cx:
-                    return False
-            elif cw == cx and x in near_w:
+    """True iff ``a`` and ``b`` agree on shared nodes and no two nodes within
+    the coloring radius share a color: a node of ``b`` outside ``a`` can only
+    clash with the one node of ``a`` holding its color."""
+    for x, cx in b.assignment:
+        cw = a.color_of.get(x)
+        if cw is None:
+            w = a.node_of.get(cx)
+            if w is not None and x in sim.near_nodes[w]:
                 return False
+        elif cw != cx:
+            return False
     return True
 
 
@@ -254,9 +265,10 @@ def constructive_best_response(
             continue
         near_w = sim.near_nodes[w]
         forbidden = set(coloring.values())
-        for x, cx in fixed.items():
-            if x in near_w:
-                forbidden.add(cx)
+        if len(fixed) <= len(near_w):
+            forbidden.update(cx for x, cx in fixed.items() if x in near_w)
+        else:
+            forbidden.update(fixed[x] for x in near_w if x in fixed)
         c = 1 if view.distance[w] % 2 == 0 else sim.algorithm.palette // 2
         while c in forbidden:
             c += 1

@@ -6,9 +6,13 @@ import pytest
 from netgame.errors import ValidationError
 from netgame.game import pgg_game
 from netgame.lvl import compile_lvl, verify
-from netgame.network import Network, ring, torus
+from netgame.network import Network, power_graph, random_regular, ring, torus
 from netgame.simgame import (
+    BallView,
+    SimulationAction,
+    _pair_consistent,
     build_simulation_game,
+    constructive_best_response,
     empty_profile,
     greedy_mis_normal_form,
     make_action,
@@ -210,3 +214,152 @@ def test_simulation_report_fields(ring64_sim):
     assert payload["n_prime_degree"] == 44
     assert payload["one_round_converged"] is True
     assert payload["projection_is_ne"] is True
+
+
+def reference_simulation_parts(net, t):
+    """Derived network, near sets and balls as three BFS per node: at radius
+    4t + 2, 2t + 2 and t."""
+    nodes = range(net.node_count)
+    near = tuple(frozenset(net.bfs_distances(v, limit=2 * t + 2)) for v in nodes)
+    balls = []
+    for v in nodes:
+        dist = net.bfs_distances(v, limit=t)
+        adjacency = {w: tuple(u for u in net.neighbors(w) if u in dist) for w in dist}
+        order = tuple(sorted(dist, key=lambda w: (dist[w], w)))
+        balls.append(BallView(center=v, order=order, adjacency=adjacency, distance=dist))
+    return power_graph(net, 4 * t + 2), near, tuple(balls)
+
+
+@pytest.mark.parametrize("net, delta", [(ring(64), 2), (random_regular(30, 3, 1), 3)])
+def test_build_matches_three_bfs_per_node(net, delta):
+    sim = build_simulation_game(pgg_game(net, HALF), greedy_mis_normal_form(delta))
+    prime, near, balls = reference_simulation_parts(net, sim.algorithm.t)
+    assert sim.network_prime == prime
+    assert sim.near_nodes == near
+    assert sim.balls == balls
+
+
+def test_make_action_indexes_the_assignment(ring64_sim):
+    sim = ring64_sim
+    coloring = {w: 3 * i + 1 for i, w in enumerate(sim.balls[7].order)}
+    a = make_action(sim, 7, coloring)
+    b = make_action(sim, 7, dict(reversed(coloring.items())))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.color_of == coloring
+    assert a.node_of == {c: w for w, c in coloring.items()}
+    # the indexes take no part in equality, hashing or repr
+    bare = SimulationAction(a.assignment, a.output, {}, {})
+    assert bare == a and hash(bare) == hash(a) and repr(bare) == repr(a)
+
+
+def nested_pair_consistent(sim, a, b):
+    """`_pair_consistent` as a nested loop over both assignments."""
+    for w, cw in a.assignment:
+        near_w = sim.near_nodes[w]
+        for x, cx in b.assignment:
+            if w == x:
+                if cw != cx:
+                    return False
+            elif cw == cx and x in near_w:
+                return False
+    return True
+
+
+def test_pair_consistent_matches_nested_loop(ring64_sim):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cubic = build_simulation_game(pgg_game(random_regular(20, 3, 1), HALF), greedy_mis_normal_form(3))
+    # the balls of the cubic graph cover it, so only the ring has far pairs
+    sims = {
+        "ring64": (ring64_sim, ("consistent", "same-node", "near", "far", "random")),
+        "rr20": (cubic, ("consistent", "same-node", "near", "random")),
+    }
+
+    def candidates(sim, u, case, a):
+        """(v, w, x) with w in u's ball and x in v's: for "same-node" w = x;
+        for "near" x != w within the coloring radius of w; for "far" x beyond
+        it, and neither node in both balls."""
+        out = []
+        for v in (u, *sim.network_prime.neighbors(u)):
+            ball_v = sim.balls[v].order
+            for w in a:
+                near_w = sim.near_nodes[w]
+                if case == "same-node":
+                    out += [(v, w, w)] if w in ball_v else []
+                elif case == "near":
+                    out += [(v, w, x) for x in ball_v if x != w and x in near_w]
+                elif w not in ball_v:
+                    out += [(v, w, x) for x in ball_v if x not in a and x not in near_w]
+        return out
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        sim, cases = sims[data.draw(st.sampled_from(sorted(sims)))]
+        case = data.draw(st.sampled_from(cases))
+        n, palette = sim.network.node_count, sim.algorithm.palette
+        u = data.draw(st.integers(0, n - 1))
+        rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+        colors = dict(enumerate(rng.sample(range(1, palette), n)))  # distinct, so proper
+        a = {w: colors[w] for w in sim.balls[u].order}
+        if case in ("consistent", "random"):
+            v = data.draw(st.sampled_from((u, *sim.network_prime.neighbors(u))))
+            b = {x: colors[x] for x in sim.balls[v].order}
+            expected = True
+            if case == "random":
+                # few spare colors: agreements and both kinds of clash
+                a = dict(zip(a, rng.sample(range(1, len(a) + 3), len(a))))
+                b = dict(zip(b, rng.sample(range(1, len(b) + 3), len(b))))
+                expected = None
+        else:
+            v, w, x = data.draw(st.sampled_from(candidates(sim, u, case, a)))
+            b = {y: colors[y] for y in sim.balls[v].order}
+            if case == "same-node":
+                b[x] = palette  # a color no node holds
+            else:
+                # give x the color of w; if w is in v's ball too, it takes x's
+                if w in b:
+                    b[w] = b[x]
+                b[x] = a[w]
+            expected = case == "far"
+        pair = make_action(sim, u, a), make_action(sim, v, b)
+        assert _pair_consistent(sim, *pair) == nested_pair_consistent(sim, *pair)
+        if expected is not None:
+            assert _pair_consistent(sim, *pair) is expected
+
+    check()
+
+
+def reference_best_response_colors(sim, v, fixed):
+    """The greedy coloring of `constructive_best_response`, testing every
+    fixed color against each uncolored ball node."""
+    view = sim.balls[v]
+    coloring = {}
+    for w in view.order:
+        if w in fixed:
+            coloring[w] = fixed[w]
+            continue
+        forbidden = set(coloring.values())
+        forbidden |= {cx for x, cx in fixed.items() if x in sim.near_nodes[w]}
+        c = 1 if view.distance[w] % 2 == 0 else sim.algorithm.palette // 2
+        while c in forbidden:
+            c += 1
+        coloring[w] = c
+    return coloring
+
+
+@pytest.mark.parametrize("played, fixed_is_smaller", [((11,), True), (tuple(range(6, 23)), False)])
+def test_constructive_best_response_on_partly_played_profiles(ring64_sim, played, fixed_is_smaller):
+    # One played agent fixes 11 nodes, fewer than the 25 near nodes of any
+    # node; agents 6..22 fix nodes 1..27, more than that, while 59..0 of the
+    # ball of 0 stay free.
+    sim = ring64_sim
+    profile = list(empty_profile(sim))
+    for u in played:
+        profile[u] = constructive_best_response(sim, u, tuple(profile))
+    fixed = {x: c for u in played for x, c in profile[u].assignment}
+    free = [w for w in sim.balls[0].order if w not in fixed]
+    assert free and all((len(fixed) <= len(sim.near_nodes[w])) is fixed_is_smaller for w in free)
+    profile[0] = constructive_best_response(sim, 0, tuple(profile))
+    assert profile[0].color_of == reference_best_response_colors(sim, 0, fixed)
+    assert simulation_utility(sim, 0, tuple(profile)) == 1
