@@ -19,9 +19,11 @@ ball), so they are never enumerated: best responses are constructed
 greedily, which always succeeds because the palette ``max_degree**(2t+2)+1``
 exceeds the number of constraints any single ball node can face.
 
-Everything here is read from one breadth-first traversal of radius ``4t + 2``
-per node, and each action indexes its coloring by node and by color, so the
-pairwise utility check is linear in the ball.
+Everything here is computed from per-node views of radius at most
+``4t + 2``: the derived edges, the ball colorings, and the pairwise
+utility checks all come from bounded-depth breadth-first traversals. Each
+action indexes its coloring by node and by color, so the pairwise utility
+check is linear in the ball.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable
 
 from .errors import SimulationFault, ValidationError
 from .game import GraphicalGame, Profile
-from .network import Network, _ball
+from .network import Network, _ball, power_graph
 
 SimProfile = tuple["SimulationAction | None", ...]
 
@@ -51,8 +53,8 @@ class BallView:
     distance: dict[int, int]
 
     @classmethod
-    def from_distances(cls, net: Network, center: int, dist: dict[int, int]) -> "BallView":
-        """The ball on the keys of ``dist``, their distances from ``center``."""
+    def extract(cls, net: Network, center: int, radius: int) -> "BallView":
+        dist = net.bfs_distances(center, limit=radius)
         nodes = set(dist)
         order = tuple(sorted(nodes, key=lambda w: (dist[w], w)))
         adj = {
@@ -155,19 +157,16 @@ def build_simulation_game(base: GraphicalGame, algorithm: NormalFormAlgorithm) -
             f"algorithm handles at most {algorithm.delta}"
         )
     t = algorithm.t
-    rows, balls, near = [], [], []
-    for v in range(net.node_count):
-        dist = net.bfs_distances(v, limit=4 * t + 2)
-        rows.append(tuple(sorted(u for u in dist if u != v)))
-        near.append(frozenset(u for u, d in dist.items() if d <= 2 * t + 2))
-        balls.append(BallView.from_distances(net, v, {u: d for u, d in dist.items() if d <= t}))
+    prime = power_graph(net, 4 * t + 2)
+    balls = tuple(BallView.extract(net, v, t) for v in range(net.node_count))
+    near = tuple(frozenset(net.bfs_distances(v, limit=2 * t + 2)) for v in range(net.node_count))
     return SimulationGame(
         base=base,
         algorithm=algorithm,
         network=net,
-        network_prime=Network(tuple(rows)),
-        balls=tuple(balls),
-        near_nodes=tuple(near),
+        network_prime=prime,
+        balls=balls,
+        near_nodes=near,
     )
 
 
@@ -265,10 +264,7 @@ def constructive_best_response(
             continue
         near_w = sim.near_nodes[w]
         forbidden = set(coloring.values())
-        if len(fixed) <= len(near_w):
-            forbidden.update(cx for x, cx in fixed.items() if x in near_w)
-        else:
-            forbidden.update(fixed[x] for x in near_w if x in fixed)
+        forbidden.update(fixed[x] for x in near_w if x in fixed)
         c = 1 if view.distance[w] % 2 == 0 else sim.algorithm.palette // 2
         while c in forbidden:
             c += 1

