@@ -124,6 +124,9 @@ class BestResponseEngine:
     `best_response_payoffs`, the payoff numerators over the common
     denominator ``den`` (rescaled by the lcm when needed, never rounded) and
     per own action the preferred response. All nodes share one action list.
+    ``ok[v]`` says whether ``v`` plays its preferred response and ``unsettled``
+    counts the nodes that do not, so the profile is an equilibrium iff
+    ``unsettled == 0``; `reset` and `move` keep both current.
     Best-response switches go through `switch`, which runs the kind's
     ``check_switch``; `move` alone is unchecked, for profile walks.
     """
@@ -147,9 +150,12 @@ class BestResponseEngine:
         weight, table = self.weight, self.table
         self.key = key = [sum([weight[prof[u]] for u in nbrs]) for nbrs in self.nbrs]
         self.pay = pay = [0] * len(prof)
+        self.ok = ok = [True] * len(prof)
         for v, a in enumerate(prof):
-            pay[v] = (table.get(key[v]) or self.entry(v, key[v]))[0][a]
+            pays, pref = table.get(key[v]) or self.entry(v, key[v])
+            pay[v], ok[v] = pays[a], pref[a] == a
         self.welfare_num = sum(pay)
+        self.unsettled = ok.count(False)
 
     def key_of(self, labels) -> int:
         """The key of a neighborhood playing the action indices ``labels``."""
@@ -195,16 +201,25 @@ class BestResponseEngine:
             self.check_switch(self.game, self.profile, v)
 
     def move(self, v: int, b: int) -> None:
-        """Set ``v``'s action to ``b``, updating keys, payoffs and welfare."""
-        prof, key, pay, table, nbrs = self.profile, self.key, self.pay, self.table, self.nbrs[v]
+        """Set ``v``'s action to ``b``, updating keys, payoffs, welfare, ``ok``
+        and ``unsettled``."""
+        prof, key, pay, ok, table = self.profile, self.key, self.pay, self.ok, self.table
+        nbrs = self.nbrs[v]
         d = self.weight[b] - self.weight[prof[v]]
         prof[v] = b
         for u in nbrs:
             key[u] += d
+        unsettled = self.unsettled
         for u in (v, *nbrs):
-            new = (table.get(key[u]) or self.entry(u, key[u]))[0][prof[u]]
+            pays, pref = table.get(key[u]) or self.entry(u, key[u])
+            a = prof[u]
+            new = pays[a]
             self.welfare_num += new - pay[u]
             pay[u] = new
+            settled = pref[a] == a
+            unsettled += ok[u] - settled
+            ok[u] = settled
+        self.unsettled = unsettled
 
     def welfare(self) -> Fraction:
         return Fraction(self.welfare_num, self.den)

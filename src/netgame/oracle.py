@@ -1,10 +1,10 @@
 """Exhaustive and search-based ground truth.
 
 Everything here recomputes quantities from first principles: equilibria by
-an odometer walk over every profile on the best-response engine (integer
-welfare, one action list for all nodes), combinatorial optima by subset
-search, inefficiency by measured runs. Hard size guards
-keep the exhaustive paths from silently running for hours.
+a reflected Gray-code walk over every profile on the best-response engine
+(one move per profile, integer welfare, one action list for all nodes),
+combinatorial optima by subset search, inefficiency by measured runs. Hard
+size guards keep the exhaustive paths from silently running for hours.
 """
 
 from __future__ import annotations
@@ -108,13 +108,15 @@ def _profile_space_size(game: GraphicalGame) -> int:
 def enumerate_ne(game: GraphicalGame) -> NeReport:
     """Scan every profile; report all pure equilibria and welfare extremes.
 
-    One `BestResponseEngine` walks the profiles as an odometer in
-    lexicographic order: a step resets the trailing maximal digits to 0 and
-    increments the next one, one move per changed digit. A profile is an
-    equilibrium iff every node plays its preferred response. Welfare is the
-    engine's integer numerator; stored numerators are rescaled whenever a
-    new table entry enlarges the common denominator. Like the engine, this
-    needs one action list for all nodes.
+    One `BestResponseEngine` walks the profiles in loopless reflected
+    mixed-radix Gray order (Knuth, TAOCP Vol. 4A, 7.2.1.1, Algorithm H):
+    each node's digit keeps a direction and a focus pointer, and every step
+    moves exactly one node one action up or down, so the walk makes
+    ``size - 1`` moves. A profile is an equilibrium iff the engine's
+    ``unsettled`` count is 0; the equilibria are sorted at the end, into
+    lexicographic order. Welfare is the engine's integer numerator; stored
+    numerators are rescaled whenever a new table entry enlarges the common
+    denominator. Like the engine, this needs one action list for all nodes.
 
     Raises:
         GuardError: if the profile space exceeds ``2**21``.
@@ -127,8 +129,10 @@ def enumerate_ne(game: GraphicalGame) -> NeReport:
         )
     n = game.network.node_count
     engine = BestResponseEngine(game, (0,) * n)
-    prof, key, table = engine.profile, engine.key, engine.table
-    top, den, best = len(engine.acts) - 1, engine.den, engine.welfare_num
+    prof, move, den, best = engine.profile, engine.move, engine.den, engine.welfare_num
+    top = len(engine.acts) - 1
+    digits = n if top > 0 else 0  # a single action never moves
+    focus, step = list(range(digits + 1)), [1] * digits
     equilibria: list[Profile] = []
     ne_welfare: list[int] = []  # numerators over den, one per equilibrium
     while True:
@@ -137,17 +141,20 @@ def enumerate_ne(game: GraphicalGame) -> NeReport:
             best *= scale
             ne_welfare[:] = [w * scale for w in ne_welfare]
         best = max(best, engine.welfare_num)
-        if all(table[key[v]][1][a] == a for v, a in enumerate(prof)):
+        if not engine.unsettled:
             equilibria.append(tuple(prof))
             ne_welfare.append(engine.welfare_num)
-        v = n - 1
-        while v >= 0 and prof[v] == top:
-            v -= 1
-        if v < 0:
+        v = focus[0]
+        if v == digits:
             break
-        for u in range(v + 1, n):
-            engine.move(u, 0)
-        engine.move(v, prof[v] + 1)
+        focus[0] = 0
+        a = prof[v] + step[v]
+        move(v, a)
+        if a == 0 or a == top:
+            step[v] = -step[v]
+            focus[v] = focus[v + 1]
+            focus[v + 1] = v + 1
+    equilibria.sort()
 
     best_welfare = Fraction(best, den)
     worst_ne = Fraction(min(ne_welfare), den) if ne_welfare else None
@@ -297,7 +304,9 @@ def find_frozen_configuration(
     nodes, so sweeps always terminate), and inspect the fixpoint. Every
     best-response evaluation consumes one unit of ``budget``, charged one
     whole sweep at a time: a sweep that cannot finish within the remaining
-    budget is not started. Returns None when the budget runs out.
+    budget is not started. The last sweep, which finds no switch, is charged
+    but not run: the engine's ``unsettled`` count of 0 already shows the
+    fixpoint. Returns None when the budget runs out.
     """
     if k < 2:
         raise ValidationError("frozen-configuration search needs k >= 2")
@@ -312,14 +321,15 @@ def find_frozen_configuration(
         rng = Random(derive_seed(seed, "restart", restart))
         restart += 1
         engine.reset(random_profile(game, rng))
-        switches = 1
-        while switches:
+        while True:
             if steps + n > budget:
                 return None
+            steps += n
+            if not engine.unsettled:
+                break
             order = list(range(n))
             rng.shuffle(order)
-            switches = engine.sweep(order)
-            steps += n
+            engine.sweep(order)
         if engine.welfare() != n:  # proper iff every node has utility 1
             return tuple(engine.profile)
     return None

@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from netgame.cli import ExperimentConfig, load_config, main
 from netgame.errors import ValidationError
+from netgame.game import is_nash_equilibrium, pgg_game
+from netgame.network import graph_from_json
 
 
 def run_cli(*argv) -> int:
@@ -88,6 +92,23 @@ def test_poa_enumerate_elides_long_lists(tmp_path):
     report = json.loads(out.read_text())
     assert report["equilibria_elided"] is True
     assert len(report["equilibria"]) == 5
+
+
+def test_poa_enumerate_lists_the_lexicographically_smallest_equilibria(tmp_path):
+    g = tmp_path / "g.json"
+    run_cli("gen", "--graph", "ring", "--n", "7", "--out", str(g))
+    game = pgg_game(graph_from_json(json.loads(g.read_text())), Fraction(1, 2))
+    full = [p for p in product(range(2), repeat=7) if is_nash_equilibrium(game, p)]
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "poa", "--family", "enumerate", "--game", "pgg", "--c", "1/2",
+        "--graph-file", str(g), "--max-listed", "3", "--out", str(out),
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["equilibrium_count"] == len(full) > 3
+    assert report["equilibria_elided"] is True
+    assert report["equilibria"] == [list(p) for p in sorted(full)[:3]]
 
 
 def test_poa_negative_max_listed_exits_1(tmp_path, capsys):

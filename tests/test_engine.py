@@ -2,9 +2,11 @@
 against the engine-free references: `reference_round` plus `welfare` for
 `run` and `step`, per-node deviation checks for `verify`, sequential replay
 for `simulate_fair_rounds`, a search by `is_nash_equilibrium` and
-`reference_round` for `worst_case_convergence`, and a definitional scan
-(every profile through `is_nash_equilibrium` and `welfare`) for the
-odometer walk of `enumerate_ne`."""
+`reference_round` for `worst_case_convergence`, a recount by
+`best_responses` for the engine's ``ok`` flags and ``unsettled`` count, and
+a definitional scan (every profile through `is_nash_equilibrium` and
+`welfare`) for the reflected Gray-code walk of `enumerate_ne`, which makes
+one move per profile."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +26,7 @@ from netgame.dynamics import (
 )
 from netgame.game import (
     BestResponseEngine,
+    best_responses,
     coloring_game,
     is_nash_equilibrium,
     minority_cut_edges,
@@ -34,7 +37,7 @@ from netgame.game import (
 )
 from netgame.lvl import compile_lvl, verify
 from netgame.local_sim import distance_coloring, simulate_fair_rounds
-from netgame.network import Network, ring
+from netgame.network import Network, ring, torus
 from netgame.oracle import enumerate_ne
 from conftest import path_graph, star_graph
 from test_dynamics import reference_round
@@ -245,3 +248,54 @@ def test_rescale_to_a_common_denominator_keeps_welfare_exact(profile):
     engine.sweep(orders[0])
     assert engine.den == 6
     assert engine.welfare() == welfares[1]
+
+
+def assert_status_matches_recount(engine):
+    """``ok`` and ``unsettled`` against `best_responses` on the engine's profile."""
+    game, profile = engine.game, tuple(engine.profile)
+    ok = [profile[v] in best_responses(game, v, profile) for v in range(len(profile))]
+    assert engine.ok == ok
+    assert engine.unsettled == ok.count(False)
+
+
+# Each op is (kind, r): move node r % n to action r // n % k, switch node
+# r % n to its preferred response, or sweep in an order shuffled by Random(r).
+OPS = st.lists(st.tuples(st.sampled_from(["move", "switch", "sweep"]), st.integers(0, 2**16)), max_size=25)
+
+
+def apply_ops_checking_status(engine, ops):
+    assert_status_matches_recount(engine)
+    n, k = len(engine.profile), len(engine.acts)
+    for kind, r in ops:
+        v = r % n
+        if kind == "move":
+            engine.move(v, r // n % k)
+        elif kind == "switch":
+            b = engine.entry(v, engine.key[v])[1][engine.profile[v]]
+            if b != engine.profile[v]:
+                engine.switch(v, b)
+        else:
+            order = list(range(n))
+            Random(r).shuffle(order)
+            engine.sweep(order)
+        assert_status_matches_recount(engine)
+
+
+@SETTINGS
+@hypothesis.given(cases(), OPS)
+def test_unsettled_count_matches_a_recount_after_random_operations(case, ops):
+    game, profile, _ = case
+    apply_ops_checking_status(BestResponseEngine(game, profile), ops)
+
+
+# From all zeros, thirds_pgg_ring6 starts in halves; the first producer
+# grows the common denominator to sixths mid-sequence.
+@pytest.mark.parametrize("make_game", [thirds_pgg_ring6, lambda: coloring_game(torus(3), 3)],
+                         ids=["thirds_pgg_ring6", "coloring3_torus3"])
+@SETTINGS
+@hypothesis.given(ops=OPS)
+@hypothesis.example(ops=[("sweep", 0)])
+def test_unsettled_count_matches_a_recount_from_all_zeros(make_game, ops):
+    game = make_game()
+    engine = BestResponseEngine(game, (0,) * game.network.node_count)
+    apply_ops_checking_status(engine, ops)

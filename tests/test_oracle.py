@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -7,10 +8,12 @@ import pytest
 from netgame.errors import GuardError, ValidationError
 from netgame.dynamics import fair_round
 from netgame.game import (
+    BestResponseEngine,
     coloring_game,
     is_nash_equilibrium,
     minority_game,
     pgg_game,
+    random_profile,
     welfare,
 )
 from netgame.lvl import compile_lvl, verify
@@ -34,6 +37,7 @@ from netgame.oracle import (
     poa_pgg_instance,
     proper_coloring_exists,
 )
+from netgame.seeds import derive_seed
 from conftest import path_graph
 
 HALF = Fraction(1, 2)
@@ -60,6 +64,51 @@ def test_enumerate_coloring_single_edge():
     report = enumerate_ne(coloring_game(net, 2))
     assert set(report.equilibria) == {(0, 1), (1, 0)}
     assert report.poa == 1
+
+
+def counted_moves(monkeypatch):
+    """Patch `BestResponseEngine.move` to count its calls; returns the tally."""
+    calls, move = [0], BestResponseEngine.move
+
+    def counting(engine, v, b):
+        calls[0] += 1
+        move(engine, v, b)
+
+    monkeypatch.setattr(BestResponseEngine, "move", counting)
+    return calls
+
+
+# The Gray walk moves one node per step: size - 1 moves in all. The radix 3
+# of the colouring game exercises the reflection at both ends of a digit.
+@pytest.mark.parametrize(
+    "game, size",
+    [
+        (pgg_game(random_regular(12, 3, 1), HALF), 2**12),
+        (minority_game(ring(7)), 2**7),
+        (coloring_game(torus(3), 3), 3**9),
+    ],
+    ids=["pgg_rr12", "minority_ring7", "coloring3_torus3"],
+)
+def test_enumerate_ne_makes_one_move_per_profile(monkeypatch, game, size):
+    moves = counted_moves(monkeypatch)
+    report = enumerate_ne(game)
+    assert moves[0] == size - 1
+    assert list(report.equilibria) == sorted(report.equilibria)
+    assert report.equilibria and len(set(report.equilibria)) == len(report.equilibria)
+
+
+@pytest.mark.parametrize(
+    "game",
+    [pgg_game(Network.from_edges(0, []), HALF),
+     replace(pgg_game(ring(4), HALF), actions=(("F",),) * 4)],
+    ids=["no_nodes", "one_action"],
+)
+def test_enumerate_ne_single_profile_space_makes_no_move(monkeypatch, game):
+    moves = counted_moves(monkeypatch)
+    report = enumerate_ne(game)
+    assert moves[0] == 0
+    assert report.equilibria == ((0,) * game.network.node_count,)
+    assert report.best_welfare == report.worst_ne_welfare == welfare(game, report.equilibria[0])
 
 
 def test_enumeration_guard():
@@ -272,6 +321,35 @@ def test_frozen_configuration_budget_boundary(seed, enough):
     assert found is not None
     assert find_frozen_configuration(net, 4, seed=seed, budget=enough) == found
     assert find_frozen_configuration(net, 4, seed=seed, budget=enough - 1) is None
+
+
+def reference_frozen_search(net, k, seed, budget):
+    """`find_frozen_configuration` with every sweep run, the last one (no
+    switch) included, each charged before the next budget check."""
+    game, n, steps, restart = coloring_game(net, k), net.node_count, 0, 0
+    while steps < budget:
+        rng = Random(derive_seed(seed, "restart", restart))
+        restart += 1
+        engine = BestResponseEngine(game, random_profile(game, rng))
+        switches = 1
+        while switches:
+            if steps + n > budget:
+                return None
+            order = list(range(n))
+            rng.shuffle(order)
+            switches = engine.sweep(order)
+            steps += n
+        if engine.welfare() != n:
+            return tuple(engine.profile)
+    return None
+
+
+@pytest.mark.parametrize("net", [torus(6), ring(9), random_regular(12, 3, 1)], ids=["torus6", "ring9", "rr12"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_frozen_search_matches_the_search_that_runs_every_sweep(net, k):
+    for seed in range(4):
+        for budget in (0, 35, 144, 500, 3000):
+            assert find_frozen_configuration(net, k, seed, budget) == reference_frozen_search(net, k, seed, budget)
 
 
 def test_frozen_configuration_not_found_for_k5():
