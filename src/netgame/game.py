@@ -126,9 +126,11 @@ class BestResponseEngine:
     per own action the preferred response. All nodes share one action list.
     ``ok[v]`` says whether ``v`` plays its preferred response and ``unsettled``
     counts the nodes that do not, so the profile is an equilibrium iff
-    ``unsettled == 0``; `reset` and `move` keep both current.
-    Best-response switches go through `switch`, which runs the kind's
-    ``check_switch``; `move` alone is unchecked, for profile walks.
+    ``unsettled == 0``; `reset` and `move` keep both current, and only the
+    frozen search reads them. Best-response switches go through `switch`,
+    which runs the kind's ``check_switch``; `move` alone is unchecked.
+    `enumerate_ne` uses no profile: it fills ``table`` by `entry` and
+    searches on it.
     """
 
     def __init__(self, game: GraphicalGame, profile: Profile | None = None) -> None:

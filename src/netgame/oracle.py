@@ -1,16 +1,18 @@
 """Exhaustive and search-based ground truth.
 
-Everything here recomputes quantities from first principles: equilibria by
-a reflected Gray-code walk over every profile on the best-response engine
-(one move per profile, integer welfare, one action list for all nodes),
-combinatorial optima by subset search, inefficiency by measured runs. Hard
-size guards keep the exhaustive paths from silently running for hours.
+Everything here recomputes quantities from first principles: equilibria and
+the welfare optimum by exact search over the profiles on the best-response
+engine's payoff table (backtracking and branch and bound, integer welfare,
+one action list for all nodes), combinatorial optima by subset search,
+inefficiency by measured runs. Hard size guards keep the exhaustive paths
+from silently running for hours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from random import Random
 
 from .errors import GuardError, ValidationError
@@ -106,17 +108,15 @@ def _profile_space_size(game: GraphicalGame) -> int:
 
 
 def enumerate_ne(game: GraphicalGame) -> NeReport:
-    """Scan every profile; report all pure equilibria and welfare extremes.
+    """Report every pure equilibrium and the welfare extremes, by exact search.
 
-    One `BestResponseEngine` walks the profiles in loopless reflected
-    mixed-radix Gray order (Knuth, TAOCP Vol. 4A, 7.2.1.1, Algorithm H):
-    each node's digit keeps a direction and a focus pointer, and every step
-    moves exactly one node one action up or down, so the walk makes
-    ``size - 1`` moves. A profile is an equilibrium iff the engine's
-    ``unsettled`` count is 0; the equilibria are sorted at the end, into
-    lexicographic order. Welfare is the engine's integer numerator; stored
-    numerators are rescaled whenever a new table entry enlarges the common
-    denominator. Like the engine, this needs one action list for all nodes.
+    A node's payoff reads only its closed neighborhood, so the equilibria are
+    the solutions of a constraint problem on the graph and the welfare
+    optimum a maximization over it (Gottlob, Greco and Scarcello, JAIR 2005):
+    `_search` finds the first by backtracking and the second by branch and
+    bound, on the payoff table of a `BestResponseEngine`. The equilibria are
+    sorted at the end, into lexicographic order. Like the engine, this needs
+    one action list for all nodes.
 
     Raises:
         GuardError: if the profile space exceeds ``2**21``.
@@ -127,35 +127,11 @@ def enumerate_ne(game: GraphicalGame) -> NeReport:
         raise GuardError(
             f"profile space {size} exceeds enumeration guard {ENUMERATION_GUARD}"
         )
-    n = game.network.node_count
-    engine = BestResponseEngine(game, (0,) * n)
-    prof, move, den, best = engine.profile, engine.move, engine.den, engine.welfare_num
-    top = len(engine.acts) - 1
-    digits = n if top > 0 else 0  # a single action never moves
-    focus, step = list(range(digits + 1)), [1] * digits
-    equilibria: list[Profile] = []
-    ne_welfare: list[int] = []  # numerators over den, one per equilibrium
-    while True:
-        if engine.den != den:
-            scale, den = engine.den // den, engine.den
-            best *= scale
-            ne_welfare[:] = [w * scale for w in ne_welfare]
-        best = max(best, engine.welfare_num)
-        if not engine.unsettled:
-            equilibria.append(tuple(prof))
-            ne_welfare.append(engine.welfare_num)
-        v = focus[0]
-        if v == digits:
-            break
-        focus[0] = 0
-        a = prof[v] + step[v]
-        move(v, a)
-        if a == 0 or a == top:
-            step[v] = -step[v]
-            focus[v] = focus[v + 1]
-            focus[v + 1] = v + 1
+    engine = BestResponseEngine(game)
+    equilibria, ne_welfare, best = _search(engine)
     equilibria.sort()
 
+    den = engine.den
     best_welfare = Fraction(best, den)
     worst_ne = Fraction(min(ne_welfare), den) if ne_welfare else None
     best_ne = Fraction(max(ne_welfare), den) if ne_welfare else None
@@ -166,6 +142,118 @@ def enumerate_ne(game: GraphicalGame) -> NeReport:
         best_ne_welfare=best_ne,
         poa=best_welfare / worst_ne if worst_ne else None,
     )
+
+
+def _search(engine: BestResponseEngine) -> tuple[list[Profile], list[int], int]:
+    """The equilibria of the engine's game with their welfare numerators over
+    ``engine.den``, and the largest welfare numerator of any profile.
+
+    The table is first filled for every neighbor-count key of every degree
+    present, so ``den`` is final. Both searches then assign the nodes depth
+    first in `_cuthill_mckee` order, keep each node's partial key, and read a
+    node's entry as soon as its closed neighborhood is assigned. The
+    equilibrium search backtracks when such a node is off its preferred
+    response. The optimum is found by branch and bound from the best
+    equilibrium welfare (else the all-zero profile's), bounding each
+    unfinished node by its degree's largest table payoff.
+    """
+    nbrs, weight, table = engine.nbrs, engine.weight, engine.table
+    k, n = len(engine.acts), len(nbrs)
+    degrees = {len(nb): v for v, nb in enumerate(nbrs)}  # a node of each degree
+    keys = {d: [engine.key_of(labels) for labels in combinations_with_replacement(range(k), d)]
+            for d in degrees}  # the all-zero key first
+    for d, v in degrees.items():
+        for key in keys[d]:
+            engine.entry(v, key)
+    pays = {key: p for key, (p, _) in table.items()}
+    zero = sum(pays[keys[len(nb)][0]][0] for nb in nbrs)  # the all-zero profile's welfare
+    if k < 2:  # that profile is the only one: no recursion, however many nodes
+        return [(0,) * n], [zero], zero
+    # settled[key][a] is pays[key][a] if a is the preferred response at key, else None.
+    settled = {key: [x if pref[a] == a else None for a, x in enumerate(p)]
+               for key, (p, pref) in table.items()}
+    top = {d: max(max(pays[key]) for key in ks) for d, ks in keys.items()}
+    order = _cuthill_mckee(nbrs)
+    pos = {v: i for i, v in enumerate(order)}
+    finished: list[list[int]] = [[] for _ in order]  # by the step that completes them
+    for v, nb in enumerate(nbrs):
+        finished[max([pos[v], *(pos[u] for u in nb)])].append(v)
+    rest = [0] * (n + 1)  # bound on the payoffs of the nodes finished from step i on
+    for i in reversed(range(n)):
+        rest[i] = rest[i + 1] + sum(top[len(nbrs[x])] for x in finished[i])
+    steps = [(order[i], nbrs[order[i]], finished[i], rest[i + 1]) for i in range(n)]
+    prof, partial = [0] * n, [0] * n  # partial: the neighbor-count keys so far
+    equilibria: list[Profile] = []
+    ne_welfare: list[int] = []
+
+    def equilibrium(i: int, total: int) -> None:
+        if i == n:
+            equilibria.append(tuple(prof))
+            ne_welfare.append(total)
+            return
+        v, nb, fin, _ = steps[i]
+        for a in range(k):
+            prof[v] = a
+            w = weight[a]
+            for u in nb:
+                partial[u] += w
+            t = total
+            for x in fin:
+                p = settled[partial[x]][prof[x]]
+                if p is None:
+                    break
+                t += p
+            else:
+                equilibrium(i + 1, t)
+            for u in nb:
+                partial[u] -= w
+
+    equilibrium(0, 0)
+    best = max(ne_welfare, default=zero)
+
+    def optimum(i: int, total: int) -> None:
+        nonlocal best
+        v, nb, fin, bound = steps[i]
+        for a in range(k):
+            prof[v] = a
+            w = weight[a]
+            for u in nb:
+                partial[u] += w
+            t = total
+            for x in fin:
+                t += pays[partial[x]][prof[x]]
+            if t + bound > best:
+                if i + 1 == n:
+                    best = t
+                else:
+                    optimum(i + 1, t)
+            for u in nb:
+                partial[u] -= w
+
+    if rest[0] > best:
+        optimum(0, 0)
+    return equilibria, ne_welfare, best
+
+
+def _cuthill_mckee(nbrs) -> list[int]:
+    """The nodes in Cuthill-McKee order: each component breadth first from a
+    node of least degree, neighbors by (degree, index)."""
+    by_degree = lambda v: (len(nbrs[v]), v)  # noqa: E731
+    seen = [False] * len(nbrs)
+    order: list[int] = []
+    for s in sorted(range(len(nbrs)), key=by_degree):
+        if seen[s]:
+            continue
+        seen[s] = True
+        j = len(order)
+        order.append(s)
+        while j < len(order):
+            for u in sorted(nbrs[order[j]], key=by_degree):
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+            j += 1
+    return order
 
 
 def poa_pgg_instance(d: int, k: int, c: Fraction, seed: int) -> NeReport:
@@ -306,7 +394,8 @@ def find_frozen_configuration(
     whole sweep at a time: a sweep that cannot finish within the remaining
     budget is not started. The last sweep, which finds no switch, is charged
     but not run: the engine's ``unsettled`` count of 0 already shows the
-    fixpoint. Returns None when the budget runs out.
+    fixpoint. Returns None when the budget runs out, and on a network
+    without nodes, whose empty profile is proper.
     """
     if k < 2:
         raise ValidationError("frozen-configuration search needs k >= 2")
@@ -315,6 +404,8 @@ def find_frozen_configuration(
     game = coloring_game(net, k)
     engine = BestResponseEngine(game)
     n = net.node_count
+    if n == 0:  # each sweep would be charged nothing, and nothing is frozen
+        return None
     steps = 0
     restart = 0
     while steps < budget:

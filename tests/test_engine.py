@@ -3,10 +3,10 @@ against the engine-free references: `reference_round` plus `welfare` for
 `run` and `step`, per-node deviation checks for `verify`, sequential replay
 for `simulate_fair_rounds`, a search by `is_nash_equilibrium` and
 `reference_round` for `worst_case_convergence`, a recount by
-`best_responses` for the engine's ``ok`` flags and ``unsettled`` count, and
-a definitional scan (every profile through `is_nash_equilibrium` and
-`welfare`) for the reflected Gray-code walk of `enumerate_ne`, which makes
-one move per profile."""
+`best_responses` for the engine's ``ok`` flags and ``unsettled`` count, and,
+for the exact search of `enumerate_ne`, a definitional scan (every profile
+through `is_nash_equilibrium` and `welfare`) and `gray_walk_ne`, a walk over
+every profile that makes one engine move per profile."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -38,7 +38,7 @@ from netgame.game import (
 from netgame.lvl import compile_lvl, verify
 from netgame.local_sim import distance_coloring, simulate_fair_rounds
 from netgame.network import Network, ring, torus
-from netgame.oracle import enumerate_ne
+from netgame.oracle import NeReport, enumerate_ne
 from conftest import path_graph, star_graph
 from test_dynamics import reference_round
 
@@ -211,8 +211,8 @@ def thirds_pgg_ring6(free_ride=0, per_producer=Fraction(1, 3)):
     """pgg with c = 1/2 on ring(6), plus ``free_ride`` for playing F and
     ``per_producer`` per producing neighbor: entries with no producing
     neighbor are in halves, the others need thirds, so the common
-    denominator grows to sixths during a scan (on the first step of an
-    `enumerate_ne` walk)."""
+    denominator grows to sixths during a scan (while `enumerate_ne` fills
+    the table)."""
     g = pgg_game(ring(6), HALF)
 
     def u(v, own, nbrs):
@@ -228,6 +228,111 @@ def thirds_pgg_ring6(free_ride=0, per_producer=Fraction(1, 3)):
 def test_enumerate_ne_rescales_to_a_common_denominator_mid_scan(free_ride, per_producer):
     thirds = thirds_pgg_ring6(free_ride, per_producer)
     assert scan_of(enumerate_ne(thirds)) == reference_scan(thirds)
+
+
+def gray_walk_ne(game):
+    """`enumerate_ne` as a walk over every profile on one `BestResponseEngine`,
+    in loopless reflected mixed-radix Gray order (Knuth, TAOCP Vol. 4A,
+    7.2.1.1, Algorithm H): each step moves one node one action up or down,
+    a profile is an equilibrium iff the engine's ``unsettled`` count is 0,
+    and stored welfare numerators follow each rescale of ``den``."""
+    n = game.network.node_count
+    engine = BestResponseEngine(game, (0,) * n)
+    prof, den, best = engine.profile, engine.den, engine.welfare_num
+    top = len(engine.acts) - 1
+    digits = n if top > 0 else 0  # a single action never moves
+    focus, direction = list(range(digits + 1)), [1] * digits
+    equilibria, ne_welfare = [], []
+    while True:
+        if engine.den != den:
+            scale, den = engine.den // den, engine.den
+            best *= scale
+            ne_welfare = [w * scale for w in ne_welfare]
+        best = max(best, engine.welfare_num)
+        if not engine.unsettled:
+            equilibria.append(tuple(prof))
+            ne_welfare.append(engine.welfare_num)
+        v = focus[0]
+        if v == digits:
+            break
+        focus[0] = 0
+        a = prof[v] + direction[v]
+        engine.move(v, a)
+        if a == 0 or a == top:
+            direction[v] = -direction[v]
+            focus[v] = focus[v + 1]
+            focus[v + 1] = v + 1
+    best_welfare = Fraction(best, den)
+    worst_ne = Fraction(min(ne_welfare), den) if ne_welfare else None
+    return NeReport(
+        equilibria=tuple(sorted(equilibria)),
+        best_welfare=best_welfare,
+        worst_ne_welfare=worst_ne,
+        best_ne_welfare=Fraction(max(ne_welfare), den) if ne_welfare else None,
+        poa=best_welfare / worst_ne if worst_ne else None,
+    )
+
+
+def rock_paper_scissors(net):
+    """Three actions, each beating the next: two points per neighbor beaten,
+    minus one per neighbor lost to. A single edge has no pure equilibrium."""
+
+    def u(v, own, nbrs):
+        return Fraction(sum(2 if (own - x) % 3 == 1 else -1 if (x - own) % 3 == 1 else 0 for x in nbrs))
+
+    return replace(coloring_game(net, 3), utility_fn=u)
+
+
+@st.composite
+def ne_games(draw):
+    """A built-in game (colouring with 2 or 3 colours) or `rock_paper_scissors`
+    on a G(n, p) graph with n <= 7, often disconnected, plus up to two
+    isolated nodes."""
+    n, isolated = draw(st.integers(0, 7)), draw(st.integers(0, 2))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    net = Network.from_edges(n + isolated, [e for e in combinations(range(n), 2) if rng.random() < p])
+    makers = {**GAMES, "coloring2": lambda net: coloring_game(net, 2), "rps": rock_paper_scissors}
+    return makers[draw(st.sampled_from(sorted(makers)))](net)
+
+
+def counting_utility(game):
+    """``game`` with its utility calls counted; returns it and the tally."""
+    calls, fn = [0], game.utility_fn
+
+    def counted(v, own, nbrs):
+        calls[0] += 1
+        return fn(v, own, nbrs)
+
+    return replace(game, utility_fn=counted), calls
+
+
+# The search fills the table entries the walk fills, with as many utility calls.
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(ne_games())
+def test_enumerate_ne_matches_gray_walk(game):
+    game, calls = counting_utility(game)
+    report = enumerate_ne(game)
+    searched, calls[0] = calls[0], 0
+    assert report == gray_walk_ne(game)
+    assert searched == calls[0]
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        pgg_game(Network.from_edges(0, []), HALF),
+        replace(pgg_game(ring(4), HALF), actions=(("F",),) * 4),
+        replace(minority_game(path_graph(5000)), actions=((1,),) * 5000),
+        thirds_pgg_ring6(),
+        thirds_pgg_ring6(1, Fraction(-4, 3)),
+        rock_paper_scissors(path_graph(2)),
+    ],
+    ids=["no_nodes", "one_action", "one_action_path5000", "thirds_pgg_ring6", "thirds_pgg_ring6_all_f",
+         "no_equilibrium"],
+)
+def test_enumerate_ne_matches_gray_walk_on_edge_cases(game):
+    assert enumerate_ne(game) == gray_walk_ne(game)
 
 
 @pytest.mark.parametrize("profile", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)], ids=["reset", "move"])
