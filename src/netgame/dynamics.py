@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import ceil, log2
 from random import Random
 
-from .errors import ValidationError
+from .errors import SimulationFault, ValidationError
 from .game import BestResponseEngine, GraphicalGame, Profile, random_profile, validate_profile
 from .seeds import derive_seed
 
@@ -134,6 +134,11 @@ def run(
 
     Deterministic given the initial profile (or its seed) and the policy's
     seeds: identical inputs reproduce identical traces.
+
+    Raises:
+        SimulationFault: if a switch or a round breaks a kind invariant, or
+            the cut column read from the welfare is fractional or ends
+            away from the kind's own cut count.
     """
     n = game.network.node_count
     if isinstance(init, RandomInit):
@@ -151,7 +156,6 @@ def run(
     profile = engine.profile  # the engine updates it in place
     welfares = [engine.welfare()]
     switch_counts: list[int] = []
-    cuts = [kind.cut_edges(game, profile)] if kind.cut_edges is not None else None
 
     converged = False
     convergence_round: int | None = None
@@ -163,8 +167,6 @@ def run(
         rounds_executed = round_index
         welfares.append(engine.welfare())
         switch_counts.append(switches)
-        if cuts is not None:
-            cuts.append(kind.cut_edges(game, profile))
         if kind.check_round is not None:
             kind.check_round(game, profile, round_index)
         if switches == 0:
@@ -180,9 +182,34 @@ def run(
         convergence_round=convergence_round,
         welfare_per_round=tuple(welfares),
         switches_per_round=tuple(switch_counts),
-        cut_edges_per_round=tuple(cuts) if cuts is not None else None,
+        cut_edges_per_round=_cuts_from_welfare(game, welfares, profile),
         final=tuple(profile),
     )
+
+
+def _cuts_from_welfare(
+    game: GraphicalGame, welfares: list[Fraction], final: Profile
+) -> tuple[int, ...] | None:
+    """The cut column of a kind with one (the anti-coordination game), read
+    from the welfare per round: there ``u_v = 1 - deg(v) + 2 * differ(v)``,
+    so ``W = n - 2m + 4 * cut``. The final cut is checked against the
+    kind's own count."""
+    if game.kind.cut_edges is None:
+        return None
+    net = game.network
+    offset = net.node_count - 2 * net.edge_count
+    cuts = []
+    for r, w in enumerate(welfares):
+        cut = (w - offset) / 4
+        if cut.denominator != 1:
+            raise SimulationFault(f"welfare {w} after round {r} gives a fractional cut {cut}")
+        cuts.append(cut.numerator)
+    counted = game.kind.cut_edges(game, final)
+    if counted != cuts[-1]:
+        raise SimulationFault(
+            f"cut after round {len(cuts) - 1} read from welfare is {cuts[-1]}, counted {counted}"
+        )
+    return tuple(cuts)
 
 
 def _round_order(policy: SchedulePolicy, round_index: int, n: int) -> tuple[int, ...]:

@@ -29,7 +29,9 @@ class GameKind:
     """A built-in game kind as data: parameter types (see `typed_field`), builder,
     closed-form welfare upper bound, and run-time invariants: ``check_switch(game,
     profile, v)`` after each switch, ``check_round(game, profile, round)`` after
-    each round, and ``cut_edges(game, profile)`` for a per-round trace column."""
+    each round, and, for the anti-coordination kind, ``cut_edges(game, profile)``:
+    `dynamics.run` reads its per-round cut column from the welfare and checks
+    the final profile's cut against this count."""
 
     name: str
     param_types: dict

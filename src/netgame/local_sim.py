@@ -8,6 +8,12 @@ classes ``1..palette`` in turn and therefore costs ``palette`` rounds of
 synchronous message passing; the greedy coloring below keeps the palette
 within ``max_degree**2 + 1`` at radius 2.
 
+Two nodes are within distance 2 iff they are adjacent or share a
+neighbor, so at radius 2 a coloring is proper iff every closed
+neighborhood is rainbow (McCormick 1983). The coloring and its check read
+closed neighborhoods there, straight from the adjacency; other radii run
+one truncated BFS per node.
+
 Every switch runs the game kind's switch check (`BestResponseEngine.switch`)
 and every round its round check, as in `dynamics.run`.
 
@@ -45,18 +51,22 @@ def distance_coloring(net: Network, r: int) -> DistanceColoring:
     """Greedy proper distance-``r`` coloring over ascending node index.
 
     Each node takes the smallest color unused within distance ``r``. At
+    radius 2 those are the colors of its neighbors and of their neighbors,
+    read from the adjacency; other radii take the truncated BFS ball. At
     radius 1 this uses at most ``max_degree + 1`` colors, at radius 2 at
     most ``max_degree**2 + 1``.
     """
     if r < 1:
         raise ValidationError("distance_coloring needs radius >= 1")
+    adjacency = net.adjacency
     colors = [0] * net.node_count
     for v in range(net.node_count):
-        taken = {
-            colors[u]
-            for u, d in net.bfs_distances(v, limit=r).items()
-            if 0 < d and colors[u] != 0
-        }
+        if r == 2:  # uncolored nodes, v among them, read as color 0
+            taken = {colors[u] for u in adjacency[v]}
+            for u in adjacency[v]:
+                taken.update([colors[w] for w in adjacency[u]])
+        else:
+            taken = {colors[u] for u, d in net.bfs_distances(v, limit=r).items() if 0 < d}
         c = 1
         while c in taken:
             c += 1
@@ -66,16 +76,29 @@ def distance_coloring(net: Network, r: int) -> DistanceColoring:
 
 
 def check_coloring(net: Network, coloring: DistanceColoring) -> None:
-    """Raise unless the coloring is proper at its radius for this network."""
-    if len(coloring.colors) != net.node_count:
+    """Raise unless the coloring is proper at its radius for this network.
+
+    At radius 2 the coloring is proper iff every closed neighborhood is
+    rainbow, since two nodes are within distance 2 iff they are adjacent
+    or share a neighbor; only when that fails does the BFS scan of the
+    other radii run, to name the first clashing pair ``(v, u)`` and their
+    distance.
+    """
+    colors = coloring.colors
+    if len(colors) != net.node_count:
         raise ValidationError("coloring length does not match the network")
-    if any(c < 1 or c > coloring.palette_size for c in coloring.colors):
+    if any(c < 1 or c > coloring.palette_size for c in colors):
         raise ValidationError("colors must lie in 1..palette_size")
+    if coloring.radius == 2 and all(
+        len({colors[v], *[colors[u] for u in nbrs]}) == len(nbrs) + 1
+        for v, nbrs in enumerate(net.adjacency)
+    ):
+        return
     for v in range(net.node_count):
         for u, d in net.bfs_distances(v, limit=coloring.radius).items():
-            if 0 < d and coloring.colors[u] == coloring.colors[v]:
+            if 0 < d and colors[u] == colors[v]:
                 raise ValidationError(
-                    f"nodes {v} and {u} at distance {d} share color {coloring.colors[v]}"
+                    f"nodes {v} and {u} at distance {d} share color {colors[v]}"
                 )
 
 

@@ -548,9 +548,12 @@ def graph_from_json(obj: dict) -> Network:
     if not isinstance(obj["edges"], list):
         raise ValidationError("graph JSON field 'edges' must be a list of pairs")
     for item in obj["edges"]:
-        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
+        if not (isinstance(item, list) and len(item) == 2):
             raise ValidationError(f"malformed edge entry {item!r}")
-        if not item[0] < item[1]:
+        u, v = item
+        if type(u) is not int or type(v) is not int:
+            raise ValidationError(f"malformed edge entry {item!r}")
+        if not u < v:
             raise ValidationError(f"edge {item} must be listed with u < v")
     net = Network.from_edges(n, obj["edges"])
     if type(obj["max_degree"]) is not int or net.max_degree != obj["max_degree"]:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -431,3 +437,84 @@ def test_flag_run_matches_config_run(tmp_path, flags, game, dyn):
     assert flag_prof == config_prof
     for key in ("converged", "convergence_round", "rounds_executed"):
         assert flag_meta[key] == config_meta[key]
+
+
+# Robustness probe: graph files with the faults a hand-written file may
+# hold, fed to every subcommand that loads one. A case ends in exit 0, or in
+# exit 1 with one ``error:`` line, never in a traceback, within a time bound.
+# JSON files hold plain lists only; list subclasses as edge entries are
+# covered by `test_graph_from_json_matches_three_stage_validation`.
+def _insert_edge(obj, rng, item):
+    obj["edges"].insert(rng.randrange(len(obj["edges"]) + 1), item)
+
+
+def _nodes(obj, rng):
+    return rng.randrange(max(obj["n"], 1))
+
+
+GRAPH_FILE_FAULTS = [
+    lambda obj, rng: obj.update({rng.choice(["n", "edges", "max_degree"]): rng.choice(["3", 1.5, None, {}])}),
+    lambda obj, rng: obj.update(n=True) if rng.random() < 0.5 else obj.update(max_degree=True),
+    lambda obj, rng: _insert_edge(obj, rng, rng.choice([[False, True], [0, True]])),
+    lambda obj, rng: _insert_edge(obj, rng, rng.choice([[[0], [1]], [[0, 1]], [[0, 1], [1, 2]]])),
+    lambda obj, rng: obj.update(edges=[obj["edges"]]),
+    lambda obj, rng: _insert_edge(obj, rng, [0, 1, 2]),
+    lambda obj, rng: _insert_edge(obj, rng, sorted([_nodes(obj, rng), _nodes(obj, rng)], reverse=True)),
+    lambda obj, rng: _insert_edge(obj, rng, rng.choice([[_nodes(obj, rng), obj["n"] + rng.randrange(3)],
+                                                         [-1, _nodes(obj, rng)]])),
+    lambda obj, rng: obj.update(max_degree=obj["max_degree"] + rng.choice([-1, 1])),
+    lambda obj, rng: obj.update(n=obj["n"] + rng.choice([-1, 2])),
+    lambda obj, rng: obj.pop(rng.choice(["n", "edges", "max_degree"])),
+]
+
+PROBED_GAMES = [["--game", "minority"], ["--game", "pgg", "--c", "1/2"], ["--game", "coloring", "--k", "3"]]
+
+
+def probe_cli(argv) -> None:
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    took = time.perf_counter() - start
+    lines = err.getvalue().splitlines()
+    assert took < 10, f"{argv} took {took:.1f} s"
+    assert (code, lines) == (0, []) or (code == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (
+        argv, code, lines)
+
+
+def test_mutated_graph_files_exit_cleanly():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graph_files(draw):
+        n, isolated = draw(st.integers(0, 8)), draw(st.integers(0, 2))
+        rng = Random(draw(st.integers(0, 2**32 - 1)))
+        p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+        edges = [list(e) for e in combinations(range(n), 2) if rng.random() < p]
+        rng.shuffle(edges)
+        degrees = [sum(v in e for e in edges) for v in range(n + isolated)]
+        obj = {"n": n + isolated, "edges": edges, "max_degree": max(degrees, default=0)}
+        for fault in draw(st.lists(st.sampled_from(GRAPH_FILE_FAULTS), max_size=2)):
+            if type(obj.get("n")) is int and isinstance(obj.get("edges"), list) and type(obj.get("max_degree")) is int:
+                fault(obj, rng)  # a fault needs the fields it reads intact
+        return obj, n + isolated, draw(st.sampled_from(PROBED_GAMES))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(graph_files())
+    def check(case):
+        obj, n, game = case
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, profile, out = (str(Path(tmp, name)) for name in ("g.json", "p.json", "out"))
+            Path(graph).write_text(json.dumps(obj))
+            Path(profile).write_text(json.dumps({"profile": [0] * n}))
+            for argv in (
+                ["run", *game, "--graph-file", graph, "--seed", "1", "--out", out],
+                ["verify", *game, "--graph-file", graph, "--profile", profile, "--out", out],
+                ["local-sim", *game, "--graph-file", graph, "--rounds", "2", "--coloring-out", out],
+                ["ineff", *game, "--graph-file", graph, "--T", "2", "--trials", "2", "--out", out],
+                ["poa", "--family", "minority-instance", "--graph-file", graph, "--out", out],
+            ):
+                probe_cli([*argv, "--deterministic"])
+
+    check()

@@ -341,3 +341,52 @@ def test_fair_round_and_run_match_reference_round(make_game, seed):
     assert trace.final == profile
     assert trace.switches_per_round == tuple(switches)
     assert trace.welfare_per_round == tuple(welfares)
+
+
+# For the anti-coordination game u_v = 1 - deg(v) + 2 * differ(v), so the
+# welfare is n - 2m + 4 * cut; `run` reads its cut column from this.
+def test_minority_welfare_gives_the_cut():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from netgame.game import minority_cut_edges
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 12), st.integers(0, 3), st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+                      st.randoms(use_true_random=False))
+    def check(n, isolated, p, rng):
+        net = Network.from_edges(n + isolated, [e for e in combinations(range(n), 2) if rng.random() < p])
+        g = minority_game(net)
+        profile = tuple(rng.randrange(2) for _ in range(net.node_count))
+        cut = (welfare(g, profile) - net.node_count + 2 * net.edge_count) / 4
+        assert cut == minority_cut_edges(g, profile)
+
+    check()
+
+
+def test_run_checks_the_welfare_cut_against_the_counted_cut():
+    # A cut count that is one too high disagrees with the welfare's cut at
+    # the end of the run, which names its last round.
+    from dataclasses import replace
+
+    from netgame.errors import SimulationFault
+    from netgame.game import minority_cut_edges
+
+    g = minority_game(ring(6))
+    trace = run(g, (0,) * 6, FixedOrder(tuple(range(6))))
+    assert trace.rounds_executed == 2 and trace.cut_edges_per_round == (0, 6, 6)
+    off_by_one = replace(g, kind=replace(g.kind, cut_edges=lambda g, p: minority_cut_edges(g, p) + 1))
+    with pytest.raises(SimulationFault, match="^cut after round 2 read from welfare is 6, counted 7$"):
+        run(off_by_one, (0,) * 6, FixedOrder(tuple(range(6))))
+
+
+def test_run_rejects_a_fractional_welfare_cut():
+    # Half a unit more per node keeps every best response, but the welfare
+    # no longer gives a whole cut.
+    from dataclasses import replace
+
+    from netgame.errors import SimulationFault
+
+    g = minority_game(ring(6))
+    shifted = replace(g, utility_fn=lambda v, own, nbrs: g.utility_fn(v, own, nbrs) + HALF)
+    with pytest.raises(SimulationFault, match="^welfare -3 after round 0 gives a fractional cut 3/4$"):
+        run(shifted, (0,) * 6, FixedOrder(tuple(range(6))))

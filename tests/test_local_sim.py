@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -13,7 +14,7 @@ from netgame.local_sim import (
     distance_coloring,
     simulate_fair_rounds,
 )
-from netgame.network import random_regular, ring, torus
+from netgame.network import Network, _ball, random_regular, ring, torus
 
 HALF = Fraction(1, 2)
 
@@ -123,3 +124,99 @@ def test_intra_class_order_irrelevant():
             for v in members:
                 profile = step(g, profile, v)
         assert profile == final
+
+
+# Test-only references: one truncated BFS per node at every radius, as
+# `distance_coloring` and `check_coloring` did before radius 2 read closed
+# neighborhoods.
+def reference_distance_coloring(net, r):
+    colors = [0] * net.node_count
+    for v in range(net.node_count):
+        taken = {colors[u] for u, d in _ball(net.adjacency, (v,), r).items() if 0 < d and colors[u]}
+        c = 1
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return DistanceColoring(radius=r, colors=tuple(colors), palette_size=max(max(colors, default=0), 1))
+
+
+def reference_check_coloring(net, coloring):
+    if len(coloring.colors) != net.node_count:
+        raise ValidationError("coloring length does not match the network")
+    if any(c < 1 or c > coloring.palette_size for c in coloring.colors):
+        raise ValidationError("colors must lie in 1..palette_size")
+    for v in range(net.node_count):
+        for u, d in _ball(net.adjacency, (v,), coloring.radius).items():
+            if 0 < d and coloring.colors[u] == coloring.colors[v]:
+                raise ValidationError(
+                    f"nodes {v} and {u} at distance {d} share color {coloring.colors[v]}"
+                )
+
+
+def colored_networks(st):
+    """Random regular graphs, tori, rings, sparse graphs with isolated nodes
+    and the empty graph."""
+
+    @st.composite
+    def networks(draw):
+        shape = draw(st.sampled_from(["regular", "torus", "ring", "sparse", "empty"]))
+        if shape == "regular":
+            d = draw(st.integers(3, 4))
+            n = draw(st.integers(d + 1, 24).filter(lambda n: n * d % 2 == 0))
+            return random_regular(n, d, draw(st.integers(0, 99)))
+        if shape == "torus":
+            return torus(draw(st.integers(3, 6)))
+        if shape == "ring":
+            return ring(draw(st.integers(3, 14)))
+        if shape == "empty":
+            return Network.from_edges(0, [])
+        n, isolated = draw(st.integers(0, 10)), draw(st.integers(0, 3))
+        rng = Random(draw(st.integers(0, 2**32 - 1)))
+        p = draw(st.sampled_from([0.1, 0.3, 0.6]))
+        return Network.from_edges(n + isolated, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+    return networks()
+
+
+def check_outcome(check, net, coloring):
+    try:
+        check(net, coloring)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_distance_coloring_matches_bfs_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(colored_networks(st), st.integers(1, 3))
+    def check(net, r):
+        coloring = distance_coloring(net, r)
+        assert coloring == reference_distance_coloring(net, r)
+        assert check_outcome(check_coloring, net, coloring) is None
+
+    check()
+
+
+def test_check_coloring_names_the_bfs_reference_clash():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # A proper coloring at radius r, checked at radius ``radius`` after up to
+    # three nodes take the color of a node within that radius.
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(colored_networks(st), st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
+    def check(net, r, radius, rng):
+        colors = list(distance_coloring(net, r).colors)
+        for _ in range(rng.randrange(4) if colors else 0):
+            v = rng.randrange(len(colors))
+            near = sorted(u for u in _ball(net.adjacency, (v,), radius) if u != v)
+            if near:
+                colors[v] = colors[rng.choice(near)]
+        coloring = DistanceColoring(radius=radius, colors=tuple(colors), palette_size=max(colors, default=1))
+        want = check_outcome(reference_check_coloring, net, coloring)
+        assert check_outcome(check_coloring, net, coloring) == want
+
+    check()

@@ -619,6 +619,10 @@ MALFORMED_GRAPHS = [  # (mangle of graph_to_json(ring(4)), the one fault's messa
     (lambda o: o["edges"].insert(1, [0, 7]), "edge 0-7 out of range for n=4"),
     (lambda o: o["edges"].append([-1, 2]), "edge -1-2 out of range for n=4"),
     (lambda o: o["edges"].append([2, 3]), "duplicate edge 2-3"),
+    (lambda o: o["edges"].append([[0], [1]]), "malformed edge entry [[0], [1]]"),
+    (lambda o: o["edges"].append([0, 1, 2]), "malformed edge entry [0, 1, 2]"),
+    (lambda o: o["edges"].append([1.0, 2]), "malformed edge entry [1.0, 2]"),
+    (lambda o: o["edges"].append([2, None]), "malformed edge entry [2, None]"),
 ]
 
 
@@ -718,7 +722,13 @@ def _reversed(obj, rng):
     _insert(obj, rng, [max(u, v), min(u, v)])
 
 
-MALFORMED_EDGES = [5, [1], [0, 1, 2], [0, "x"], [True, 1], [0.0, 1]]
+MALFORMED_EDGES = [5, [1], [0, 1, 2], [0, "x"], [True, 1], [0.0, 1], [[0], [1]], [[0, 1]]]
+
+
+class Pair(list):
+    """A list subclass as an edge entry: loaded like a plain list."""
+
+
 GRAPH_FAULTS = [
     _out_of_range,
     _duplicate,
@@ -755,7 +765,8 @@ def test_graph_from_json_matches_three_stage_validation():
         pairs = list(combinations(range(n), 2))
         edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
         obj = graph_to_json(Network.from_edges(n, edges))
-        obj["edges"] = [list(e) for e in edges]  # the drawn order, not sorted
+        pair = draw(st.sampled_from([list, Pair]))
+        obj["edges"] = [pair(e) for e in edges]  # the drawn order, not sorted
         rng = Random(draw(st.integers(0, 2**32)))
         applied = 0
         for fault in draw(st.lists(st.sampled_from(GRAPH_FAULTS), max_size=3)):
