@@ -3,9 +3,10 @@
 Exit status: 0 on success, 1 on guard or validation errors (one-line
 diagnostic naming the violated precondition), 2 on usage errors. Every
 output file embeds the resolved configuration and seeds in a ``meta``
-block; ``--deterministic`` suppresses the timestamp so identical runs
-produce byte-identical files. Rationals cross this boundary as ``"p/q"``
-text, never as decimals.
+block, a ``run --config`` the config in place of the run flags it overrides;
+``--deterministic`` suppresses the timestamp so identical runs produce
+byte-identical files. Rationals cross this boundary as ``"p/q"`` text,
+never as decimals.
 """
 
 from __future__ import annotations
@@ -133,12 +134,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def _build_run(config: ExperimentConfig) -> tuple:
     """Validate ``config`` and build the arguments of `dynamics.run`: the
     game (on the network, built once), the initial profile, the schedule
-    policy and the round cap."""
-    net = _config_network(config.graph)
+    policy and the round cap; and ``config`` with every seed and dynamics
+    field filled in (``max_rounds`` None is the default cap)."""
+    net, graph = _config_network(config.graph)
     g = game_mod.game_from_descriptor(config.game, net, "/game/")
     dyn = config.dynamics
     seed = game_mod.typed_field(dyn, "seed", int, "/dynamics/", 0)
-    init = dyn.get("init", "random")
+    init = given_init = dyn.get("init", "random")
     if init == "random":
         init = dynamics.RandomInit(seed)
     elif isinstance(init, list):
@@ -149,22 +151,24 @@ def _build_run(config: ExperimentConfig) -> tuple:
             raise ValidationError(f"/dynamics/init: {exc}") from None
     else:
         raise ValidationError(f"/dynamics/init must be 'random' or a list of indices, got {init!r}")
-    if game_mod.typed_field(dyn, "policy", ("random", "fixed"), "/dynamics/", "random") == "random":
+    policy_name = game_mod.typed_field(dyn, "policy", ("random", "fixed"), "/dynamics/", "random")
+    if policy_name == "random":
         policy = dynamics.FreshRandomEachRound(seed)
     else:
         policy = dynamics.FixedOrder(tuple(range(net.node_count)))
     max_rounds = game_mod.typed_field(dyn, "max_rounds", int, "/dynamics/", None)
     if max_rounds is not None and max_rounds < 1:
         raise ValidationError(f"/dynamics/max_rounds must be >= 1, got {max_rounds}")
-    return g, init, policy, max_rounds
+    resolved_dyn = {"policy": policy_name, "seed": seed, "init": given_init, "max_rounds": max_rounds}
+    return (g, init, policy, max_rounds), ExperimentConfig(graph, config.game, resolved_dyn)
 
 
-def _config_network(graph: dict) -> network.Network:
+def _config_network(graph: dict) -> tuple[network.Network, dict]:
     if "file" in graph:
-        return _load_graph(game_mod.typed_field(graph, "file", str, "/graph/"))
+        return _load_graph(game_mod.typed_field(graph, "file", str, "/graph/")), graph
     gen = game_mod.typed_field(graph, "generator", tuple(_GENERATORS), "/graph/")
     seed = game_mod.typed_field(graph, "seed", int, "/graph/", 0)
-    return _generate(gen, graph, seed, "/graph/")[0]
+    return _generate(gen, graph, seed, "/graph/")[0], {**graph, "seed": seed}
 
 
 def _star_matching(params: dict, seed: int):
@@ -241,13 +245,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _read_config(args.config) if args.config is not None else _config_from_args(args)
-    trace = dynamics.run(*_build_run(config))
+    run_args, resolved = _build_run(config)
+    extra = {}
+    if args.config is not None:  # meta records the config, not the run flags it overrides
+        vars(args).update(dict.fromkeys(("game", "c", "k", "graph_file", "policy", "init", "seed", "max_rounds")))
+        extra = {"config": resolved.to_json()}
+    trace = dynamics.run(*run_args)
     csv_text = dynamics.trace_to_csv(trace)
     meta = _meta(
         args,
         converged=trace.converged,
         convergence_round=trace.convergence_round,
         rounds_executed=trace.rounds_executed,
+        **extra,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)

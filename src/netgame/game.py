@@ -126,10 +126,8 @@ class BestResponseEngine:
     `best_response_payoffs`, the payoff numerators over the common
     denominator ``den`` (rescaled by the lcm when needed, never rounded) and
     per own action the preferred response. All nodes share one action list.
-    ``ok[v]`` says whether ``v`` plays its preferred response and ``unsettled``
-    counts the nodes that do not, so the profile is an equilibrium iff
-    ``unsettled == 0``; `reset` and `move` keep both current, and only the
-    frozen search reads them. Best-response switches go through `switch`,
+    `reset` and `move` keep ``key``, ``pay`` and ``welfare_num`` current.
+    Best-response switches go through `switch`,
     which runs the kind's ``check_switch``; `move` alone is unchecked.
     `enumerate_ne` uses no profile: it fills ``table`` by `entry` and
     searches on it.
@@ -154,12 +152,9 @@ class BestResponseEngine:
         weight, table = self.weight, self.table
         self.key = key = [sum([weight[prof[u]] for u in nbrs]) for nbrs in self.nbrs]
         self.pay = pay = [0] * len(prof)
-        self.ok = ok = [True] * len(prof)
         for v, a in enumerate(prof):
-            pays, pref = table.get(key[v]) or self.entry(v, key[v])
-            pay[v], ok[v] = pays[a], pref[a] == a
+            pay[v] = (table.get(key[v]) or self.entry(v, key[v]))[0][a]
         self.welfare_num = sum(pay)
-        self.unsettled = ok.count(False)
 
     def key_of(self, labels) -> int:
         """The key of a neighborhood playing the action indices ``labels``."""
@@ -205,25 +200,18 @@ class BestResponseEngine:
             self.check_switch(self.game, self.profile, v)
 
     def move(self, v: int, b: int) -> None:
-        """Set ``v``'s action to ``b``, updating keys, payoffs, welfare, ``ok``
-        and ``unsettled``."""
-        prof, key, pay, ok, table = self.profile, self.key, self.pay, self.ok, self.table
+        """Set ``v``'s action to ``b``, updating keys, payoffs and welfare."""
+        prof, key, pay, table = self.profile, self.key, self.pay, self.table
         nbrs = self.nbrs[v]
         d = self.weight[b] - self.weight[prof[v]]
         prof[v] = b
         for u in nbrs:
             key[u] += d
-        unsettled = self.unsettled
         for u in (v, *nbrs):
-            pays, pref = table.get(key[u]) or self.entry(u, key[u])
-            a = prof[u]
-            new = pays[a]
+            # `entry` may rescale ``welfare_num`` and ``pay``: write both per node.
+            new = (table.get(key[u]) or self.entry(u, key[u]))[0][prof[u]]
             self.welfare_num += new - pay[u]
             pay[u] = new
-            settled = pref[a] == a
-            unsettled += ok[u] - settled
-            ok[u] = settled
-        self.unsettled = unsettled
 
     def welfare(self) -> Fraction:
         return Fraction(self.welfare_num, self.den)

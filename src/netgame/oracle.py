@@ -392,10 +392,11 @@ def find_frozen_configuration(
     nodes, so sweeps always terminate), and inspect the fixpoint. Every
     best-response evaluation consumes one unit of ``budget``, charged one
     whole sweep at a time: a sweep that cannot finish within the remaining
-    budget is not started. The last sweep, which finds no switch, is charged
-    but not run: the engine's ``unsettled`` count of 0 already shows the
-    fixpoint. Returns None when the budget runs out, and on a network
-    without nodes, whose empty profile is proper.
+    budget is not started. A restart ends at its first sweep that finds no
+    switch, which is the first sweep to start at a fixpoint. A proper coloring
+    is a fixpoint read from the welfare (every node at utility 1): its
+    zero-switch sweep is charged but not run. Returns None when the budget runs out,
+    and on a network without nodes, whose empty profile is proper.
     """
     if k < 2:
         raise ValidationError("frozen-configuration search needs k >= 2")
@@ -416,13 +417,12 @@ def find_frozen_configuration(
             if steps + n > budget:
                 return None
             steps += n
-            if not engine.unsettled:
+            if engine.welfare() == n:  # proper: every node has utility 1
                 break
             order = list(range(n))
             rng.shuffle(order)
-            engine.sweep(order)
-        if engine.welfare() != n:  # proper iff every node has utility 1
-            return tuple(engine.profile)
+            if not engine.sweep(order):
+                return tuple(engine.profile)
     return None
 
 

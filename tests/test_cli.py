@@ -345,9 +345,13 @@ def test_run_from_config(tmp_path):
     cfg = make_config(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    traj = tmp_path / "traj.csv"
-    assert run_cli("run", "--config", str(path), "--out", str(traj)) == 0
+    traj, prof = tmp_path / "traj.csv", tmp_path / "prof.json"
+    assert run_cli("run", "--config", str(path), "--out", str(traj), "--profile-out", str(prof)) == 0
     assert traj.read_text().startswith("round,welfare_num")
+    # The generator seed and the round cap take their defaults.
+    resolved = json.loads(prof.read_text())["meta"]["config"]
+    assert resolved["graph"] == {**cfg["graph"], "seed": 0}
+    assert resolved["dynamics"] == {**cfg["dynamics"], "max_rounds": None}
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
@@ -437,6 +441,13 @@ def test_flag_run_matches_config_run(tmp_path, flags, game, dyn):
     assert flag_prof == config_prof
     for key in ("converged", "convergence_round", "rounds_executed"):
         assert flag_meta[key] == config_meta[key]
+    # A config run records the dynamics it used, defaults filled in, and
+    # none of the run flags' defaults that the config overrode.
+    used = {"policy": "random", "seed": 9, "init": "random", "max_rounds": None, **dyn}
+    assert config_meta["config"] == {"graph": {"file": str(g)}, "game": game, "dynamics": used}
+    assert set(config_meta["args"]) == {"config", "deterministic", "out", "profile_out"}
+    for key in ("policy", "seed"):
+        assert flag_meta["args"][key] == used[key]
 
 
 # Robustness probe: graph files with the faults a hand-written file may

@@ -2,11 +2,12 @@
 against the engine-free references: `reference_round` plus `welfare` for
 `run` and `step`, per-node deviation checks for `verify`, sequential replay
 for `simulate_fair_rounds`, a search by `is_nash_equilibrium` and
-`reference_round` for `worst_case_convergence`, a recount by
-`best_responses` for the engine's ``ok`` flags and ``unsettled`` count, and,
-for the exact search of `enumerate_ne`, a definitional scan (every profile
-through `is_nash_equilibrium` and `welfare`) and `gray_walk_ne`, a walk over
-every profile that makes one engine move per profile."""
+`reference_round` for `worst_case_convergence`, a recount by `key_of`,
+`utility` and `welfare` for the engine's keys, payoffs and welfare after
+arbitrary moves, and, for the exact search of `enumerate_ne`, a definitional
+scan (every profile through `is_nash_equilibrium` and `welfare`) and
+`gray_walk_ne`, a walk over every profile that makes one engine move per
+profile."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -26,7 +27,6 @@ from netgame.dynamics import (
 )
 from netgame.game import (
     BestResponseEngine,
-    best_responses,
     coloring_game,
     is_nash_equilibrium,
     minority_cut_edges,
@@ -234,8 +234,9 @@ def gray_walk_ne(game):
     """`enumerate_ne` as a walk over every profile on one `BestResponseEngine`,
     in loopless reflected mixed-radix Gray order (Knuth, TAOCP Vol. 4A,
     7.2.1.1, Algorithm H): each step moves one node one action up or down,
-    a profile is an equilibrium iff the engine's ``unsettled`` count is 0,
-    and stored welfare numerators follow each rescale of ``den``."""
+    a profile is an equilibrium iff every node plays its preferred response
+    in the engine's table (every key read is already filled by `reset` or
+    `move`), and stored welfare numerators follow each rescale of ``den``."""
     n = game.network.node_count
     engine = BestResponseEngine(game, (0,) * n)
     prof, den, best = engine.profile, engine.den, engine.welfare_num
@@ -249,7 +250,7 @@ def gray_walk_ne(game):
             best *= scale
             ne_welfare = [w * scale for w in ne_welfare]
         best = max(best, engine.welfare_num)
-        if not engine.unsettled:
+        if all(engine.entry(u, engine.key[u])[1][a] == a for u, a in enumerate(prof)):
             equilibria.append(tuple(prof))
             ne_welfare.append(engine.welfare_num)
         v = focus[0]
@@ -355,12 +356,14 @@ def test_rescale_to_a_common_denominator_keeps_welfare_exact(profile):
     assert engine.welfare() == welfares[1]
 
 
-def assert_status_matches_recount(engine):
-    """``ok`` and ``unsettled`` against `best_responses` on the engine's profile."""
+def assert_state_matches_recount(engine):
+    """Keys, payoffs and welfare against `key_of`, `utility` and `welfare` on
+    the engine's profile."""
     game, profile = engine.game, tuple(engine.profile)
-    ok = [profile[v] in best_responses(game, v, profile) for v in range(len(profile))]
-    assert engine.ok == ok
-    assert engine.unsettled == ok.count(False)
+    nodes = range(len(profile))
+    assert engine.key == [engine.key_of(profile[u] for u in game.network.neighbors(v)) for v in nodes]
+    assert [Fraction(engine.pay[v], engine.den) for v in nodes] == [utility(game, v, profile) for v in nodes]
+    assert engine.welfare() == welfare(game, profile)
 
 
 # Each op is (kind, r): move node r % n to action r // n % k, switch node
@@ -368,8 +371,8 @@ def assert_status_matches_recount(engine):
 OPS = st.lists(st.tuples(st.sampled_from(["move", "switch", "sweep"]), st.integers(0, 2**16)), max_size=25)
 
 
-def apply_ops_checking_status(engine, ops):
-    assert_status_matches_recount(engine)
+def apply_ops_checking_state(engine, ops):
+    assert_state_matches_recount(engine)
     n, k = len(engine.profile), len(engine.acts)
     for kind, r in ops:
         v = r % n
@@ -383,14 +386,14 @@ def apply_ops_checking_status(engine, ops):
             order = list(range(n))
             Random(r).shuffle(order)
             engine.sweep(order)
-        assert_status_matches_recount(engine)
+        assert_state_matches_recount(engine)
 
 
 @SETTINGS
 @hypothesis.given(cases(), OPS)
-def test_unsettled_count_matches_a_recount_after_random_operations(case, ops):
+def test_engine_state_matches_a_recount_after_random_operations(case, ops):
     game, profile, _ = case
-    apply_ops_checking_status(BestResponseEngine(game, profile), ops)
+    apply_ops_checking_state(BestResponseEngine(game, profile), ops)
 
 
 # From all zeros, thirds_pgg_ring6 starts in halves; the first producer
@@ -400,7 +403,7 @@ def test_unsettled_count_matches_a_recount_after_random_operations(case, ops):
 @SETTINGS
 @hypothesis.given(ops=OPS)
 @hypothesis.example(ops=[("sweep", 0)])
-def test_unsettled_count_matches_a_recount_from_all_zeros(make_game, ops):
+def test_engine_state_matches_a_recount_from_all_zeros(make_game, ops):
     game = make_game()
     engine = BestResponseEngine(game, (0,) * game.network.node_count)
-    apply_ops_checking_status(engine, ops)
+    apply_ops_checking_state(engine, ops)
