@@ -134,11 +134,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def _build_run(config: ExperimentConfig) -> tuple:
     """Validate ``config`` and build the arguments of `dynamics.run`: the
     game (on the network, built once), the initial profile, the schedule
-    policy and the round cap; and ``config`` with every seed and dynamics
-    field filled in (``max_rounds`` None is the default cap)."""
+    policy and the round cap; and ``config`` without null values, with
+    every seed and dynamics field filled in (``max_rounds`` None is the
+    default cap)."""
     net, graph = _config_network(config.graph)
     g = game_mod.game_from_descriptor(config.game, net, "/game/")
-    dyn = config.dynamics
+    dyn = _present(config.dynamics)
     seed = game_mod.typed_field(dyn, "seed", int, "/dynamics/", 0)
     init = given_init = dyn.get("init", "random")
     if init == "random":
@@ -160,10 +161,16 @@ def _build_run(config: ExperimentConfig) -> tuple:
     if max_rounds is not None and max_rounds < 1:
         raise ValidationError(f"/dynamics/max_rounds must be >= 1, got {max_rounds}")
     resolved_dyn = {"policy": policy_name, "seed": seed, "init": given_init, "max_rounds": max_rounds}
-    return (g, init, policy, max_rounds), ExperimentConfig(graph, config.game, resolved_dyn)
+    return (g, init, policy, max_rounds), ExperimentConfig(graph, _present(config.game), resolved_dyn)
+
+
+def _present(section: dict) -> dict:
+    """``section`` without its null values: a null is the same as leaving the key out."""
+    return {key: value for key, value in section.items() if value is not None}
 
 
 def _config_network(graph: dict) -> tuple[network.Network, dict]:
+    graph = _present(graph)
     if "file" in graph:
         return _load_graph(game_mod.typed_field(graph, "file", str, "/graph/")), graph
     gen = game_mod.typed_field(graph, "generator", tuple(_GENERATORS), "/graph/")

@@ -351,10 +351,12 @@ GAME_KINDS = {
 
 
 def game_from_descriptor(desc: dict, net: Network, prefix: str = "/") -> GraphicalGame:
-    """Build a game from the JSON descriptor ``{"game", "c"?, "k"?}``.
-    Errors name a field as ``prefix + key`` (see `typed_field`)."""
+    """Build a game from the JSON descriptor ``{"game", "c"?, "k"?}``; a null
+    value is the same as leaving the key out. Errors name a field as
+    ``prefix + key`` (see `typed_field`)."""
     if not isinstance(desc, dict):
         raise ValidationError("game descriptor must be an object")
+    desc = {key: value for key, value in desc.items() if value is not None}
     kind = GAME_KINDS[typed_field(desc, "game", tuple(GAME_KINDS), prefix)]
     for key in desc:
         if key != "game" and key not in kind.param_types:

@@ -23,11 +23,17 @@ Everything here is computed from per-node views of radius at most
 ``4t + 2``: the derived edges, the ball colorings, and the pairwise
 utility checks all come from bounded-depth breadth-first traversals. Each
 action indexes its coloring by node and by color, so the pairwise utility
-check is linear in the ball.
+check is linear in the ball. A fair round publishes the played colorings
+as one node-to-color map, which each constructed response reads. The
+opening round's final check tests the merged coloring in place of every
+pair: once every agent has played, every utility is 1 iff the played
+colorings agree on shared nodes and their union is proper at the coloring
+radius.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -226,45 +232,36 @@ def _pair_consistent(sim: SimulationGame, a: SimulationAction, b: SimulationActi
 
 
 def constructive_best_response(
-    sim: SimulationGame, v: int, profile: SimProfile
+    sim: SimulationGame, v: int, profile: SimProfile, published: dict[int, int]
 ) -> SimulationAction:
     """Build a utility-1 action for ``v`` against the played strategies.
 
-    Ball nodes already colored by a played derived neighbor keep that
+    ``published`` is the `merged_coloring` of the played actions other than
+    ``v``'s, as `simulation_fair_round` keeps it. Only nodes within
+    ``3t + 2`` of ``v`` are read, and every agent coloring one of them is a
+    derived neighbor of ``v``. Ball nodes already published keep their
     color; the rest are colored in ball order (distance from center, then
     index) with the smallest non-clashing color, searched from 1 at even
     distances from the center and from the palette midpoint at odd
     distances. The parity split keeps color-descent chains in the merged
     coloring short, which lets the bounded-radius decision rule reproduce
     the global greedy outcome; the palette bound guarantees a free color
-    always exists either way.
+    always exists either way. The result is checked at utility 1 by pair
+    checks against ``profile``, independently of ``published``.
 
     Raises:
-        SimulationFault: if played neighbors force contradictory colors or
-            the palette runs out; both are impossible from fair play
-            starting at the all-empty profile.
+        SimulationFault: if the palette runs out or the response does not
+            reach utility 1; both are impossible from fair play starting
+            at the all-empty profile.
     """
     view = sim.balls[v]
-
-    fixed: dict[int, int] = {}  # node -> color already published nearby
-    for u in sim.network_prime.neighbors(v):
-        other = profile[u]
-        if other is None:
-            continue
-        for x, cx in other.assignment:
-            if fixed.setdefault(x, cx) != cx:
-                raise SimulationFault(
-                    f"played neighbors of {v} disagree on the color of node {x}"
-                )
-
     coloring: dict[int, int] = {}
     for w in view.order:
-        if w in fixed:
-            coloring[w] = fixed[w]
+        if w in published:
+            coloring[w] = published[w]
             continue
-        near_w = sim.near_nodes[w]
         forbidden = set(coloring.values())
-        forbidden.update(fixed[x] for x in near_w if x in fixed)
+        forbidden.update(published[x] for x in sim.near_nodes[w] if x in published)
         c = 1 if view.distance[w] % 2 == 0 else sim.algorithm.palette // 2
         while c in forbidden:
             c += 1
@@ -283,25 +280,77 @@ def simulation_fair_round(
 ) -> tuple[SimProfile, int]:
     """One fair round, played on one list updated in place: an agent keeps a
     utility-1 action, else takes its constructed best response. Returns the
-    new profile and the switch count."""
+    new profile and the switch count.
+
+    The round keeps the played colorings published as one node-to-color
+    map, with an owner count per node: a switching agent's old action is
+    withdrawn before its response is built, and the response is published
+    after. The played colorings of ``profile`` seed the map, so they must
+    agree on shared nodes, as they do after any fair play from the
+    all-empty profile; `merged_coloring` raises, naming the node, if not.
+    """
     if sorted(order) != list(range(sim.network.node_count)):
         raise ValidationError("order must be a permutation of the agents")
+    published = merged_coloring(sim, profile)
+    owners = Counter(x for action in profile if action is not None for x, _ in action.assignment)
     current = list(profile)
     switches = 0
     for v in order:
-        if current[v] is None or simulation_utility(sim, v, current) != 1:
-            current[v] = constructive_best_response(sim, v, current)
+        old = current[v]
+        if old is None or simulation_utility(sim, v, current) != 1:
+            if old is not None:
+                for x, _ in old.assignment:
+                    owners[x] -= 1
+                    if not owners[x]:
+                        del published[x]
+            new = current[v] = constructive_best_response(sim, v, current, published)
+            published.update(new.assignment)  # agrees on every published node
+            owners.update(x for x, _ in new.assignment)
             switches += 1
     return tuple(current), switches
 
 
 def play_simulation_round(sim: SimulationGame, order: tuple[int, ...]) -> SimProfile:
-    """One fair round from the all-empty profile; every utility ends at 1."""
+    """One fair round from the all-empty profile; every utility ends at 1,
+    as `_check_opening_round` checks from the merged coloring."""
     profile, _ = simulation_fair_round(sim, empty_profile(sim), order)
-    for v in range(sim.network.node_count):
-        if simulation_utility(sim, v, profile) != 1:
-            raise SimulationFault(f"agent {v} finished the opening round below utility 1")
+    _check_opening_round(sim, profile)
     return profile
+
+
+def _check_opening_round(sim: SimulationGame, profile: SimProfile) -> None:
+    """Raise unless every agent of ``profile`` is at utility 1.
+
+    Once every agent has played, that holds iff the played colorings form
+    one map and no two nodes within the coloring radius share a color in
+    it: two owners of a node lie within ``2t`` of each other, and the
+    centers of two nodes within ``2t + 2`` lie within ``4t + 2``, so both
+    are derived pairs; and a pair check fails only on one of these two
+    faults. Only when the map test fails does the per-agent utility scan
+    run, to name the first agent below utility 1.
+    """
+    if not _forms_proper_map(sim, profile):
+        for v in range(sim.network.node_count):
+            if simulation_utility(sim, v, profile) != 1:
+                raise SimulationFault(f"agent {v} finished the opening round below utility 1")
+
+
+def _forms_proper_map(sim: SimulationGame, profile: SimProfile) -> bool:
+    """True iff every agent played and the played colorings form one map
+    that is proper at the coloring radius."""
+    if any(action is None for action in profile):
+        return False
+    try:
+        merged = merged_coloring(sim, profile)
+    except SimulationFault:  # two played colorings disagree on a node
+        return False
+    # Every node is its own ball's center, so every node is in ``merged``.
+    near = sim.near_nodes
+    for x, c in merged.items():
+        for y in near[x]:
+            if merged[y] == c and y != x:
+                return False
+    return True
 
 
 def project(sim: SimulationGame, profile: SimProfile) -> Profile:

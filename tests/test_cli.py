@@ -354,6 +354,25 @@ def test_run_from_config(tmp_path):
     assert resolved["dynamics"] == {**cfg["dynamics"], "max_rounds": None}
 
 
+@pytest.mark.parametrize(
+    "section, key, without",
+    [
+        ("game", "k", {"game": "pgg", "c": "1/2"}),
+        ("dynamics", "init", {"policy": "random", "seed": 4}),
+        ("graph", "file", {"generator": "ring", "n": 6}),
+    ],
+)
+def test_null_config_value_equals_leaving_the_key_out(tmp_path, section, key, without):
+    outs = []
+    for label, fields in (("without", without), ("null", {**without, key: None})):
+        path, csv, prof = (tmp_path / f"{label}.{ext}" for ext in ("json", "csv", "prof.json"))
+        path.write_text(json.dumps(make_config(tmp_path, **{section: fields})))
+        argv = ("--config", str(path), "--deterministic", "--out", str(csv), "--profile-out", str(prof))
+        assert run_cli("run", *argv) == 0
+        outs.append((csv.read_bytes(), json.loads(prof.read_text())["meta"]["config"]))
+    assert outs[0] == outs[1]
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli("gen", "--graph", "ring", "--n", "4", "--out", str(g))

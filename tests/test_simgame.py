@@ -3,12 +3,14 @@ from random import Random
 
 import pytest
 
-from netgame.errors import ValidationError
+from netgame.errors import SimulationFault, ValidationError
 from netgame.game import pgg_game
 from netgame.lvl import compile_lvl, verify
 from netgame.network import Network, random_regular, ring, torus
 from netgame.simgame import (
     SimulationAction,
+    _check_opening_round,
+    _forms_proper_map,
     _pair_consistent,
     build_simulation_game,
     constructive_best_response,
@@ -300,6 +302,8 @@ def test_pair_consistent_matches_nested_loop(ring64_sim):
             expected = case == "far"
         pair = make_action(sim, u, a), make_action(sim, v, b)
         assert _pair_consistent(sim, *pair) == nested_pair_consistent(sim, *pair)
+        # symmetric, which the opening round's final check relies on
+        assert _pair_consistent(sim, *pair) == _pair_consistent(sim, *reversed(pair))
         if expected is not None:
             assert _pair_consistent(sim, *pair) is expected
 
@@ -331,9 +335,201 @@ def test_constructive_best_response_on_partly_played_profiles(ring64_sim, played
     sim = ring64_sim
     profile = list(empty_profile(sim))
     for u in played:
-        profile[u] = constructive_best_response(sim, u, tuple(profile))
+        profile[u] = constructive_best_response(sim, u, tuple(profile), merged_coloring(sim, profile))
     fixed = {x: c for u in played for x, c in profile[u].assignment}
     assert any(w not in fixed for w in sim.balls[0].order)
-    profile[0] = constructive_best_response(sim, 0, tuple(profile))
+    profile[0] = constructive_best_response(sim, 0, tuple(profile), merged_coloring(sim, profile))
     assert profile[0].color_of == reference_best_response_colors(sim, 0, fixed)
     assert simulation_utility(sim, 0, tuple(profile)) == 1
+
+
+# -- the opening round's final check and the published coloring
+
+
+def reference_opening_check(sim, profile):
+    """The per-agent utility scan the opening round's final check replaces."""
+    for v in range(sim.network.node_count):
+        if simulation_utility(sim, v, profile) != 1:
+            raise SimulationFault(f"agent {v} finished the opening round below utility 1")
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the message of the `SimulationFault` it raises."""
+    try:
+        return f(*args)
+    except SimulationFault as exc:
+        return str(exc)
+
+
+def recolored(sim, profile, colors):
+    """``profile`` with every owner of a node in ``colors`` recolored there."""
+    out = list(profile)
+    for u, action in enumerate(profile):
+        if action is not None and any(x in colors for x in action.color_of):
+            changes = {x: c for x, c in colors.items() if x in action.color_of}
+            out[u] = make_action(sim, u, {**action.color_of, **changes})
+    return tuple(out)
+
+
+def test_opening_check_matches_the_utility_scan_on_injected_faults(ring64_sim):
+    sim = ring64_sim
+    t, palette = sim.algorithm.t, sim.algorithm.palette
+    rng = Random(23)
+    cases = 0
+    for _ in range(6):
+        order = list(range(64))
+        rng.shuffle(order)
+        good = play_simulation_round(sim, tuple(order))
+        u, x = rng.randrange(64), rng.randrange(64)
+        ball_u = sim.balls[u].order
+        w = rng.choice(ball_u)
+        faulty = {
+            # u alone recolors a node that its neighbors also color
+            "shared-node": good[:u] + (make_action(sim, u, {**good[u].color_of, w: palette}),) + good[u + 1:],
+            # x and the node 2t+2 (or 2t+3) along the ring share a fresh color
+            "distance 2t+2": recolored(sim, good, {x: palette, (x + 2 * t + 2) % 64: palette}),
+            "distance 2t+3": recolored(sim, good, {x: palette, (x + 2 * t + 3) % 64: palette}),
+            "empty": good[:u] + (None,) + good[u + 1:],
+        }
+        for name, profile in faulty.items():
+            expected = outcome(reference_opening_check, sim, profile)
+            assert (expected is None) == (name == "distance 2t+3")
+            assert _forms_proper_map(sim, profile) == (expected is None)
+            assert outcome(_check_opening_round, sim, profile) == expected
+            cases += 1
+        # a working round passes the map test, so the utility scan never runs
+        assert _forms_proper_map(sim, good)
+    assert cases == 24
+
+
+def test_opening_check_matches_the_utility_scan_on_random_recolorings(ring64_sim):
+    # Recolor a few nodes of a few agents with colors already in use nearby:
+    # disagreements, clashes at every distance, and harmless changes.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sim = ring64_sim
+    base = play_simulation_round(sim, tuple(range(64)))
+
+    edit = st.tuples(st.integers(0, 63), st.integers(0, 10), st.integers(1, 40))  # agent, ball index, color
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.lists(edit, max_size=3))
+    def check(edits):
+        profile = list(base)
+        for u, i, c in edits:
+            coloring = dict(profile[u].color_of)
+            w = sim.balls[u].order[i]
+            swap = next((y for y, cy in coloring.items() if cy == c), None)
+            if swap is not None:
+                coloring[swap] = coloring[w]  # keep the ball's colors distinct
+            coloring[w] = c
+            profile[u] = make_action(sim, u, coloring)
+        profile = tuple(profile)
+        assert outcome(_check_opening_round, sim, profile) == outcome(reference_opening_check, sim, profile)
+
+    check()
+
+
+def reference_fair_round(sim, profile, agents):
+    """`simulation_fair_round` with each response built against ``fixed``,
+    the colors of every played derived neighbor, rebuilt per call."""
+    current = list(profile)
+    switches = 0
+    for v in agents:
+        if current[v] is None or simulation_utility(sim, v, current) != 1:
+            fixed = {}
+            for u in sim.network_prime.neighbors(v):
+                if current[u] is not None:
+                    for x, cx in current[u].assignment:
+                        assert fixed.setdefault(x, cx) == cx
+            current[v] = make_action(sim, v, reference_best_response_colors(sim, v, fixed))
+            if simulation_utility(sim, v, current) != 1:
+                raise SimulationFault(f"constructed response for {v} does not reach utility 1")
+            switches += 1
+    return tuple(current), switches
+
+
+def clashing_action(sim, profile, u, rng):
+    """``(action, w, y)``: an action for ``u`` that agrees with every other
+    played coloring on shared nodes but gives node ``w``, which only ``u``
+    colors, the color of node ``y``, within the coloring radius of ``w`` and
+    outside ``u``'s ball; None if there is none. An agent whose ball holds
+    ``w`` or ``y`` and that plays before ``u`` switches inherits the clash,
+    and its response falls short of utility 1."""
+    others = merged_coloring(sim, profile[:u] + (None,) + profile[u + 1:])
+    own = profile[u].color_of
+    options = [
+        (w, y)
+        for w in own if w not in others
+        for y in sim.near_nodes[w] if y not in own and y in others and others[y] not in own.values()
+    ]
+    if not options:
+        return None
+    w, y = rng.choice(options)
+    return make_action(sim, u, {**own, w: others[y]}), w, y
+
+
+@pytest.mark.parametrize("graph", ["ring64", "path40"])
+def test_fair_round_matches_the_round_that_rebuilds_fixed(ring64_sim, graph):
+    from conftest import path_graph
+
+    if graph == "ring64":
+        sim = ring64_sim
+    else:
+        sim = build_simulation_game(pgg_game(path_graph(40), HALF), greedy_mis_normal_form(2))
+    n = sim.network.node_count
+    rng = Random(31)
+    switched = {"first": 0, "second": 0}
+    for trial in range(18):
+        order = list(range(n))
+        rng.shuffle(order)
+        start, u = empty_profile(sim), None
+        if trial % 3:
+            # A fair-play prefix in which one played agent u clashes. u moves
+            # first, or second after an unplayed agent that shares a node only
+            # u colored and holds neither clashing node, so that u's action is
+            # withdrawn while a response published this round still owns it.
+            start, _ = reference_fair_round(sim, start, order[: rng.randrange(2, n // 2)])
+            played = [v for v in range(n) if start[v] is not None]
+            rng.shuffle(played)
+            rng.shuffle(order)
+            for v in played:
+                clash = clashing_action(sim, start, v, rng)
+                if clash is None:
+                    continue
+                u, (action, w, y) = v, clash
+                others = merged_coloring(sim, start[:u] + (None,) + start[u + 1:])
+                sharing = [
+                    (v, x) for v in range(n) if start[v] is None
+                    and w not in sim.balls[v].order and y not in sim.balls[v].order
+                    for x in sim.balls[v].order if x in action.color_of and x not in others
+                ]
+                first = [u]
+                if trial % 3 == 2 and sharing:
+                    # x takes a color the greedy rule never picks, so u's
+                    # response keeps it only if it sees v's published x
+                    v, x = rng.choice(sharing)
+                    action = make_action(sim, u, {**action.color_of, x: sim.algorithm.palette})
+                    first = [v, u]
+                start = start[:u] + (action,) + start[u + 1:]
+                assert simulation_utility(sim, u, start) == 0
+                order = first + [v for v in order if v not in first]
+                break
+        got = outcome(simulation_fair_round, sim, start, tuple(order))
+        assert got == outcome(reference_fair_round, sim, start, order)
+        if not isinstance(got, str):
+            assert simulation_fair_round(sim, got[0], tuple(order)) == (got[0], 0)
+            if u is not None:
+                assert got[0][u] != start[u]
+                switched["first" if order[0] == u else "second"] += 1
+    assert min(switched.values()) >= 2, switched
+
+
+def test_fair_round_rejects_disagreeing_start(ring64_sim):
+    sim = ring64_sim
+    profile = play_simulation_round(sim, tuple(range(64)))
+    # node 3 lies in the balls of agents 0 and 3; only agent 3 recolors it
+    coloring = {**profile[3].color_of, 3: sim.algorithm.palette}
+    start = profile[:3] + (make_action(sim, 3, coloring),) + profile[4:]
+    with pytest.raises(SimulationFault, match="played colorings disagree on node 3$"):
+        simulation_fair_round(sim, start, tuple(range(64)))
