@@ -7,12 +7,11 @@ values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from math import floor, log
 from operator import or_
 from random import Random
 
@@ -376,19 +375,26 @@ def cut_short_cycles(
     It then replaces both with the crossed pair ``{u,v'}, {u',v}``. Endpoints
     of far edges are pairwise non-adjacent, so swaps can never create
     parallel edges, and every swap preserves the degree sequence and the
-    edge count.
+    edge count. The eligible edges are also kept as a sorted list, so ``f``
+    is the first one disjoint from the ball around ``e``.
 
-    The work per swap is local. Each root's shortest cycle below ``g``
-    (`_root_cycle`, limit ``g - 1``) is kept, and the cycle to cut is the
-    smallest of them. A root's BFS reads only the neighbor lists within
-    ``(g - 2) // 2`` of it, so after a swap only the roots within that
-    distance of one of the four swapped endpoints are scanned again
-    (measured in the new graph; the old graph gives the same roots). The
-    graph is held as mutable sorted neighbor lists, and one `Network` is
-    built at the end.
+    The work per swap is local. Each root's `_root_cycle` under the limit
+    ``g - 1`` is cached, the cycle to cut is the smallest cached one, and
+    `_swap_and_rescan` rescans only the roots a swap can change. The cache
+    keeps this invariant: every entry equals a fresh
+    ``_root_cycle(adjacency, root, g - 1)``, except for a None entry at a
+    root that lies on no cycle shorter than ``g``. The fresh minimum is a
+    shortest cycle, found from each root on it, and no root finds a shorter
+    closed walk (`_shortest_cycle`). Those roots lie on a short cycle, so
+    their entries are fresh, while every stale entry is None. So the cached
+    minimum is the fresh one at every swap, and the swaps are those of a
+    full rescan. The invariant holds for any degree-preserving swap, far or
+    not. The graph is held as mutable sorted neighbor lists, and one
+    `Network` is built at the end.
 
-    ``g = "auto"`` targets ``floor(log_d n)`` for degree ``d``. ``g`` is the
-    only option; the procedure is deterministic.
+    ``g = "auto"`` targets the largest ``k`` with ``d**k <= n`` for degree
+    ``d`` (at least 3). ``g`` is the only option; the procedure is
+    deterministic.
 
     Raises:
         ConstructionError: if no eligible far edge exists at some step
@@ -400,7 +406,9 @@ def cut_short_cycles(
         d = net.max_degree
         if d < 2 or net.node_count < 2:
             raise ValidationError("girth target 'auto' needs max degree >= 2")
-        g = max(3, floor(log(net.node_count) / log(d)))
+        g = 3
+        while d ** (g + 1) <= net.node_count:
+            g += 1
     if not isinstance(g, int) or g < 3:
         raise ValidationError("girth target must be an integer >= 3 or 'auto'")
 
@@ -419,6 +427,7 @@ def cut_short_cycles(
     eligible = set(net.edges())
     if constraint.leaf_edges is not None:
         eligible &= constraint.leaf_edges
+    ordered = sorted(eligible)
     adjacency = [list(nbrs) for nbrs in net.adjacency]
     found = [_root_cycle(adjacency, root, g - 1) for root in range(net.node_count)]
     budget = 10 * net.edge_count + 10
@@ -440,7 +449,7 @@ def cut_short_cycles(
         # next one rather than aborting the whole construction.
         for e in eligible_on_cycle:
             near = _ball(adjacency, e, g - 1).keys()
-            f = min((x for x in eligible if near.isdisjoint(x)), default=None)
+            f = next((x for x in ordered if near.isdisjoint(x)), None)
             if f is not None:
                 break
         else:
@@ -454,14 +463,62 @@ def cut_short_cycles(
             (x, y) if constraint.sides is None or x in constraint.sides[0] else (y, x)
             for x, y in (e, f)
         )
-        eligible.difference_update((e, f))
-        eligible.update((tuple(sorted((u, vp))), tuple(sorted((up, v)))))
-        for x, old, new in ((u, v, vp), (v, u, up), (up, vp, v), (vp, up, u)):
-            adjacency[x].remove(old)
-            insort(adjacency[x], new)
-        for root in _ball(adjacency, (u, v, up, vp), (g - 2) // 2):
-            found[root] = _root_cycle(adjacency, root, g - 1)
+        for old in (e, f):
+            eligible.remove(old)
+            del ordered[bisect_left(ordered, old)]
+        for new in (tuple(sorted((u, vp))), tuple(sorted((up, v)))):
+            eligible.add(new)
+            insort(ordered, new)
+        _swap_and_rescan(adjacency, found, g, u, v, up, vp)
     raise ConstructionError(f"cycle cutting did not reach girth {g} within {budget} swaps")
+
+
+def _swap_and_rescan(adjacency, found, g: int, u: int, v: int, up: int, vp: int) -> None:
+    """Replace the edges ``{u,v}, {up,vp}`` by ``{u,vp}, {up,v}`` in the
+    sorted neighbor lists, and rescan the roots of the `cut_short_cycles`
+    cache ``found`` whose entry the swap can change.
+
+    Only the four endpoints' lists change. A root cached with a cycle of
+    length ``L`` read only the lists within ``(L - 1) // 2`` of it
+    (`_root_cycle`), so it is rescanned only if an endpoint lies that close.
+    A None entry says the root lay on no cycle shorter than ``g``, since a
+    fresh scan finds one from every root on one. Such a root is rescanned
+    only if an endpoint lies within ``(g - 2) // 2`` of it and a new edge
+    lies on a cycle shorter than ``g``. Otherwise every cycle shorter than
+    ``g`` is one of the old graph, so the root still lies on none; or its
+    scan read no changed list. A new short cycle holds a new edge, and each
+    of its nodes lies within ``(g - 2) // 2`` of that edge's nearer end, so
+    it is rescanned. Distances are taken in the new graph; no list within
+    them changed, so the old graph gives the same roots.
+    """
+    for x, old, new in ((u, v, vp), (v, u, up), (up, vp, v), (vp, up, u)):
+        adjacency[x].remove(old)
+        insort(adjacency[x], new)
+    short = _on_short_cycle(adjacency, u, vp, g - 2) or _on_short_cycle(adjacency, up, v, g - 2)
+    for root, d in _ball(adjacency, (u, v, up, vp), (g - 2) // 2).items():
+        cached = found[root]
+        if (d <= (cached[0] - 1) // 2) if cached is not None else short:
+            found[root] = _root_cycle(adjacency, root, g - 1)
+
+
+def _on_short_cycle(adjacency, a: int, b: int, limit: int) -> bool:
+    """Whether ``b`` lies within ``limit`` of ``a`` without the edge
+    ``{a,b}``, that is, whether the edge lies on a cycle of length at most
+    ``limit + 1``."""
+    dist = {a: 0}
+    queue = deque([a])
+    while queue:
+        x = queue.popleft()
+        if dist[x] >= limit:
+            break
+        for y in adjacency[x]:
+            if y in dist or (x == a and y == b):
+                continue
+            if y == b:
+                return True
+            dist[y] = dist[x] + 1
+            queue.append(y)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ from random import Random
 
 import pytest
 
+from netgame import network
 from netgame.errors import ConstructionError, ValidationError
 from netgame.network import (
     CycleCutConstraint,
     Network,
     _root_cycle,
     _shortest_cycle,
+    _swap_and_rescan,
     bipartite_double_cover,
     cut_short_cycles,
     degree_multiset,
@@ -340,10 +342,20 @@ def test_cut_short_cycles_impossible_target_errors():
 def test_cut_short_cycles_auto_girth_target():
     net = random_regular(82, 3, seed=12)
     out = cut_short_cycles(net, "auto")
-    # floor(log_3 82) = 4
+    # 3**4 <= 82 < 3**5
     assert girth(out) >= 4
     assert degree_multiset(out) == degree_multiset(net)
     assert edge_digest(out) == "ade48da29c9103f0"
+
+
+def test_cut_short_cycles_auto_target_at_an_exact_power():
+    # 3**5 == 243, so the target is 5; log(243) / log(3) is just below 5 in
+    # floating point, which would give 4 and leave the 4-cycle 0-1-2-3 uncut.
+    net = Network.from_edges(243, ring(243).edges() + [(0, 3)])
+    assert girth(net) == 4
+    out = cut_short_cycles(net, "auto")
+    assert girth(out) >= 5
+    assert degree_multiset(out) == degree_multiset(net)
 
 
 def test_cut_short_cycles_counts_other_components_as_infinitely_far():
@@ -427,17 +439,87 @@ def test_local_cut_matches_full_rescan_on_random_regular_graphs():
             return random_regular(n, d, seed), g, CycleCutConstraint.unconstrained()
         return leaf_case(n, d, seed, g, draw(st.sampled_from([0.3, 0.6, 0.9])))
 
-    # Most drawn cases stop early with "no eligible edge"; these three
-    # reach girth 6 after several swaps under each constraint.
+    # Most drawn cases stop early with "no eligible edge"; the first three
+    # reach girth 6 after several swaps under each constraint. In the last
+    # two, one swap puts both new edges on cycles shorter than 7, so roots
+    # cached without a cycle are rescanned.
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(cuts())
     @hypothesis.example((random_regular(64, 3, seed=2), 6, CycleCutConstraint.unconstrained()))
     @hypothesis.example(leaf_case(64, 3, 1, 6, 0.6))
     @hypothesis.example(shuffled_cover(32, 1, 6))
+    @hypothesis.example((random_regular(80, 3, seed=6), 7, CycleCutConstraint.unconstrained()))
+    @hypothesis.example((random_regular(80, 3, seed=20), 7, CycleCutConstraint.unconstrained()))
     def check(case):
         assert cut_outcome(cut_short_cycles, *case) == cut_outcome(reference_cut_short_cycles, *case)
 
     check()
+
+
+def lies_on_cycle_shorter_than(adjacency, root: int, g: int) -> bool:
+    """Whether some edge ``{root, w}`` closes a cycle of length < g: an
+    unbounded BFS from ``w`` that avoids the edge reaches ``root`` within
+    ``g - 2``."""
+    for w in adjacency[root]:
+        dist, queue = {w: 0}, deque([w])
+        while queue:
+            x = queue.popleft()
+            for y in adjacency[x]:
+                if y not in dist and {x, y} != {w, root}:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if dist.get(root, inf) <= g - 2:
+            return True
+    return False
+
+
+def test_swap_and_rescan_keeps_the_cache_invariant():
+    # After any degree-preserving swap, far or not, every cached entry is a
+    # fresh `_root_cycle` under the limit g - 1, or None at a root on no
+    # cycle shorter than g; so the cached minimum is the fresh one.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(5, 8), st.data()
+    )
+    def check(seed, n, g, data):
+        net = random_regular(n + n % 2, 3, seed)
+        adjacency = [list(nbrs) for nbrs in net.adjacency]
+        found = [_root_cycle(adjacency, root, g - 1) for root in range(net.node_count)]
+        for _ in range(data.draw(st.integers(1, 12), label="swaps")):
+            # Both orientations of each edge, so either end of it may be u.
+            edges = [(x, y) for x in range(net.node_count) for y in adjacency[x]]
+            (u, v), (up, vp) = data.draw(st.sampled_from(edges)), data.draw(st.sampled_from(edges))
+            if len({u, v, up, vp}) < 4 or vp in adjacency[u] or v in adjacency[up]:
+                continue
+            _swap_and_rescan(adjacency, found, g, u, v, up, vp)
+            fresh = [_root_cycle(adjacency, root, g - 1) for root in range(net.node_count)]
+            for root, (cached, scan) in enumerate(zip(found, fresh)):
+                assert cached == scan or (
+                    cached is None and not lies_on_cycle_shorter_than(adjacency, root, g)
+                )
+            assert min(filter(None, found), default=None) == min(filter(None, fresh), default=None)
+
+    check()
+
+
+def test_cut_short_cycles_rescans_only_roots_a_swap_can_change(monkeypatch):
+    # 256 first scans and 127 swaps; rescanning every root within
+    # (g - 2) // 2 of a swap's endpoints makes 6026 scans in all.
+    scans = 0
+
+    def counting(*args):
+        nonlocal scans
+        scans += 1
+        return _root_cycle(*args)
+
+    monkeypatch.setattr(network, "_root_cycle", counting)
+    net = torus(16)
+    out = cut_short_cycles(net, 6, CycleCutConstraint.preserve_bipartition(*two_coloring(net)))
+    assert scans <= 1600
+    assert girth(out) >= 6
 
 
 @pytest.mark.parametrize(
