@@ -17,11 +17,12 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from random import Random
 
 from . import dynamics, game as game_mod, local_sim, lvl, network, oracle, simgame
 from .errors import NetgameError, ValidationError
-from .seeds import derive_seed
+from .seeds import derive_seed, shuffle
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:
@@ -37,9 +38,54 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)``
+    plus a newline, byte for byte, in pieces (see `_emit`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        _emit(fh.write, payload, "\n")
         fh.write("\n")
+
+
+def _emit(write, value, nl: str) -> None:
+    """Stream ``value`` indented as ``json.dumps(indent=2, sort_keys=True)``
+    does, ``nl`` being a newline and the current indentation.
+
+    Dicts with ``str`` keys, lists, tuples, strings and exact ints are
+    written here, an int list as one ``join`` per slice of ``_SLICE`` items
+    (json's pure-Python indented encoder takes several generator steps per
+    item); every other value (None, bools, floats, empty containers, dicts
+    with other keys) is ``json.dumps`` re-indented. Writing in pieces keeps
+    a large list from being held as one string."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif type(value) is int:
+        write(int.__repr__(value))
+    elif value and isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        inner = nl + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            write(lead + encode_basestring_ascii(key) + ": ")
+            _emit(write, value[key], inner)
+            lead = "," + inner
+        write(nl + "}")
+    elif value and isinstance(value, (list, tuple)):
+        inner = nl + "  "
+        sep = "," + inner
+        if set(map(type, value)) == {int}:
+            for i in range(0, len(value), _SLICE):
+                write(("[" if i == 0 else ",") + inner
+                      + sep.join(map(int.__repr__, value[i : i + _SLICE])))
+        else:
+            lead = "[" + inner
+            for item in value:
+                write(lead)
+                _emit(write, item, inner)
+                lead = sep
+        write(nl + "]")
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
+
+
+_SLICE = 1024
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -332,7 +378,7 @@ def _cmd_simgame(args: argparse.Namespace) -> int:
     for i in range(args.orders):
         rng = Random(derive_seed(args.seed, "order", i))
         order = list(range(net.node_count))
-        rng.shuffle(order)
+        shuffle(rng, order)
         # raises unless every agent ends the round at utility 1
         profile = simgame.play_simulation_round(sim, tuple(order))
         projection = simgame.project(sim, profile)

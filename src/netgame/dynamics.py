@@ -26,7 +26,7 @@ from random import Random
 
 from .errors import SimulationFault, ValidationError
 from .game import BestResponseEngine, GraphicalGame, Profile, random_profile, validate_profile
-from .seeds import derive_seed
+from .seeds import derive_seed, shuffle
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def _round_order(policy: SchedulePolicy, round_index: int, n: int) -> tuple[int,
     if isinstance(policy, FreshRandomEachRound):
         rng = Random(derive_seed(policy.seed, "round", round_index))
         order = list(range(n))
-        rng.shuffle(order)
+        shuffle(rng, order)
         return tuple(order)
     if isinstance(policy, ExplicitOrders):
         if round_index > len(policy.orders):

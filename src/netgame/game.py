@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 
 from .errors import SimulationFault, ValidationError
 from .network import Network, domination_number
+from .seeds import randbelow
 
 Action = object  # an action value, e.g. "P", -1, or a color number
 Profile = tuple[int, ...]  # one action index per node
@@ -82,7 +83,8 @@ def validate_profile(game: GraphicalGame, profile: Profile) -> None:
 
 def random_profile(game: GraphicalGame, rng: Random) -> Profile:
     """Uniform independent draw per node over that node's action list."""
-    return tuple(rng.randrange(len(game.actions[v])) for v in range(game.network.node_count))
+    actions = game.actions
+    return tuple([randbelow(rng, len(actions[v])) for v in range(game.network.node_count)])
 
 
 def neighbor_values(game: GraphicalGame, v: int, profile: Profile) -> tuple[Action, ...]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -16,7 +17,7 @@ from operator import or_
 from random import Random
 
 from .errors import ConstructionError, GuardError, ValidationError
-from .seeds import derive_seed
+from .seeds import derive_seed, shuffle
 
 Edge = tuple[int, int]
 
@@ -51,7 +52,7 @@ class Network:
                 prev = u
 
     @classmethod
-    def from_edges(cls, n: int, edges: list[Edge] | set[Edge]) -> "Network":
+    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Network":
         """Build a network on ``n`` nodes from an iterable of edges.
 
         Checks only that ``n >= 0`` and that both ends of every edge are
@@ -171,9 +172,15 @@ def torus(n: int) -> Network:
 def random_regular(n: int, d: int, seed: int) -> Network:
     """Random ``d``-regular simple graph via the configuration model.
 
-    Stubs are paired uniformly at random; pairings with self-loops or
-    parallel edges are rejected wholesale and retried with a fresh derived
-    seed, up to 1000 attempts. Deterministic given ``seed``.
+    Stubs are paired uniformly at random (Bollobas, Europ. J. Combin. 1980):
+    each attempt shuffles the stub list as `seeds.shuffle` does, from a
+    fresh derived seed, and pairs positions ``2m`` and ``2m+1``. Fisher-Yates
+    from the end fixes both positions of a pair at the step at index ``2m``,
+    so each pair is checked then and the attempt is abandoned at its first
+    self-loop or repeated edge, up to 1000 attempts. The draws an abandoned
+    attempt skips feed nothing else, so the accepted pairing is the one a
+    full shuffle followed by a check of every pair would accept.
+    Deterministic given ``seed``.
 
     Raises:
         ValidationError: if ``n*d`` is odd, ``n <= d``, or ``d < 3``.
@@ -186,23 +193,26 @@ def random_regular(n: int, d: int, seed: int) -> Network:
     if (n * d) % 2 != 0:
         raise ValidationError("random_regular needs n*d even (handshake parity)")
     for attempt in range(1000):
-        rng = Random(derive_seed(seed, "regular-attempt", attempt))
+        getrandbits = Random(derive_seed(seed, "regular-attempt", attempt)).getrandbits
         stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges: set[Edge] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
+        seen: set[int] = set()  # u * n + v per edge u < v
+        for i in range(len(stubs) - 1, -1, -1):
+            if i:  # one Fisher-Yates step, as in `seeds.shuffle`
+                size = i + 1
+                k = size.bit_length()
+                j = getrandbits(k)
+                while j >= size:
+                    j = getrandbits(k)
+                stubs[i], stubs[j] = stubs[j], stubs[i]
+            if i & 1:
+                continue
+            u, v = stubs[i], stubs[i + 1]  # both final now
+            key = u * n + v if u < v else v * n + u
+            if u == v or key in seen:
                 break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            return Network.from_edges(n, edges)
+            seen.add(key)
+        else:
+            return Network.from_edges(n, zip(stubs[::2], stubs[1::2]))
     raise ConstructionError(
         f"no simple {d}-regular pairing on {n} nodes after 1000 attempts; retry with a new seed"
     )
@@ -236,7 +246,7 @@ def star_matching(k: int, d: int, seed: int) -> tuple[Network, frozenset[int], f
     n = k * (d + 1)
     leaves = list(range(k, n))
     rng = Random(derive_seed(seed, "star-matching"))
-    rng.shuffle(leaves)
+    shuffle(rng, leaves)
 
     edges: list[Edge] = []
     for c in range(k):
@@ -593,7 +603,15 @@ def graph_to_json(net: Network, meta: dict | None = None) -> dict:
 
 
 def graph_from_json(obj: dict) -> Network:
-    """Parse and validate the interchange dict; rejects malformed edge lists."""
+    """Parse and validate the interchange dict; rejects malformed edge lists.
+
+    One walk over ``edges`` checks each entry (a pair of ints ``u < v``, both
+    nodes) and appends it to both neighbor lists, so each fault is reported
+    at its position in the list. A lexicographically sorted edge list, as
+    every file `graph_to_json` writes, appends to each list in increasing
+    order, so the lists are sorted only if some entry is smaller than the
+    one before it. The `Network` constructor then rejects duplicate edges.
+    """
     if not isinstance(obj, dict):
         raise ValidationError("graph JSON must be an object")
     for key in ("n", "edges", "max_degree"):
@@ -604,6 +622,9 @@ def graph_from_json(obj: dict) -> Network:
         raise ValidationError("graph JSON field 'n' must be a nonnegative integer")
     if not isinstance(obj["edges"], list):
         raise ValidationError("graph JSON field 'edges' must be a list of pairs")
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    unsorted = False
+    prev: list = []
     for item in obj["edges"]:
         if not (isinstance(item, list) and len(item) == 2):
             raise ValidationError(f"malformed edge entry {item!r}")
@@ -612,7 +633,17 @@ def graph_from_json(obj: dict) -> Network:
             raise ValidationError(f"malformed edge entry {item!r}")
         if not u < v:
             raise ValidationError(f"edge {item} must be listed with u < v")
-    net = Network.from_edges(n, obj["edges"])
+        if u < 0 or v >= n:
+            raise ValidationError(f"edge {u}-{v} out of range for n={n}")
+        if item < prev:
+            unsorted = True
+        prev = item
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    if unsorted:
+        for a in nbrs:
+            a.sort()
+    net = Network(tuple(map(tuple, nbrs)))
     if type(obj["max_degree"]) is not int or net.max_degree != obj["max_degree"]:
         raise ValidationError(
             f"declared max_degree {obj['max_degree']} != actual {net.max_degree}"

@@ -28,7 +28,7 @@ from .game import (
 )
 from .dynamics import FreshRandomEachRound, RandomInit, run
 from .network import Network, bipartite_double_cover, domination_number, star_matching
-from .seeds import derive_seed
+from .seeds import derive_seed, shuffle
 
 ENUMERATION_GUARD = 1 << 21
 
@@ -420,7 +420,7 @@ def find_frozen_configuration(
             if engine.welfare() == n:  # proper: every node has utility 1
                 break
             order = list(range(n))
-            rng.shuffle(order)
+            shuffle(rng, order)
             if not engine.sweep(order):
                 return tuple(engine.profile)
     return None

@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from netgame import cli
 from netgame.cli import ExperimentConfig, load_config, main
 from netgame.errors import ValidationError
 from netgame.game import is_nash_equilibrium, pgg_game
@@ -267,6 +268,74 @@ def test_bad_cost_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "0 < c < 1" in capsys.readouterr().err
+
+
+def test_write_json_matches_indented_json_dumps(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "\u2028", "\ud800", "😀"]))
+        .map("".join),
+    )
+    ints = st.integers(-(2**70), 2**70)
+    long_int_lists = st.builds(  # longer than one slice of the writer
+        lambda size, seed: [Random(seed).randrange(-(2**40), 2**40) for _ in range(size)],
+        st.integers(cli._SLICE - 2, cli._SLICE + 30), st.integers(0, 99),
+    )
+    int_lists = st.one_of(
+        st.lists(ints, min_size=1, max_size=30),
+        long_int_lists,
+        st.lists(ints, min_size=1, max_size=5).map(lambda xs: [*xs, True]),  # a bool is not an int
+        st.lists(ints, max_size=5).map(tuple),
+    )
+    scalars = st.one_of(st.none(), st.booleans(), ints, st.floats(), text)
+    values = st.recursive(
+        st.one_of(scalars, int_lists),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(text, children, max_size=4),
+            st.dictionaries(ints, children, max_size=3),
+            st.dictionaries(st.floats(allow_nan=False), children, max_size=3),
+        ),
+        max_leaves=12,
+    )
+    path = tmp_path / "out.json"
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.one_of(values, st.dictionaries(text, values, max_size=5)))
+    def check(payload):
+        cli._write_json(str(path), payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    check()
+
+
+def test_write_json_streams_a_long_int_list(tmp_path, monkeypatch):
+    # Pieces, not one string of the whole file: that keeps peak memory level.
+    sizes = []
+
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, piece):
+            sizes.append(len(piece))
+            return self.fh.write(piece)
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kw: Recorder(open(*args, **kw)), raising=False)
+    payload = {"profile": list(range(10000)), "n": 10000}
+    cli._write_json(str(tmp_path / "p.json"), payload)
+    written = (tmp_path / "p.json").read_text()
+    assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(sizes) > 1 and max(sizes) < len(written) // 2
 
 
 def test_deterministic_outputs_are_byte_identical(tmp_path, monkeypatch):
@@ -548,3 +617,82 @@ def test_mutated_graph_files_exit_cleanly():
                 probe_cli([*argv, "--deterministic"])
 
     check()
+
+
+# Robustness probe of profile files, flags and config files: each case ends
+# in exit 0, in exit 1 with one ``error:`` line, or in argparse's usage error
+# (exit 2). ``{g}`` is a 6-node ring, ``{p}`` a profile file, ``{cfg}`` a
+# config file and ``{out}`` an output path.
+PROBED_PROFILES = [
+    b'"0,1,0,1,0,1"', b'{"profile": "010101"}', b'{"profile": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]}',
+    b"null", b'{"profile": null}', b"true", b'{"profile": [true, 0, 1, 0, 1, 0]}',
+    b'{"profile": [[0], [1], [0], [1], [0], [1]]}', b'{"profile": [0, 1, 0]}',
+    b'{"profile": [0, 1, 0, 1, 0, 1, 0]}', b'{"profile": [-1, 0, 1, 0, 1, 0]}',
+    b"[0, 1, 0, 1, 0, 1]", b'{"profile": [0, 1, 0, 1, 0, 1]}', b'\xff\xfe{"profile": []}',
+]
+PROBED_INITS = ["", ",", "0,1", "-1,0,0,0,0,0", "0,1,0,1,0,2", "random,0", "1e3,0,0,0,0,0",
+                "RANDOM", " random", "0, 1,0,1,0,1"]
+PROBED_COUNTS = [
+    ["run", "--game", "minority", "--graph-file", "{g}", "--max-rounds", "{x}", "--out", "{out}"],
+    ["local-sim", "--game", "minority", "--graph-file", "{g}", "--rounds", "{x}", "--coloring-out", "{out}"],
+    ["ineff", "--game", "minority", "--graph-file", "{g}", "--T", "{x}", "--trials", "2", "--out", "{out}"],
+    ["ineff", "--game", "minority", "--graph-file", "{g}", "--T", "2", "--trials", "{x}", "--out", "{out}"],
+    ["frozen", "--n", "3", "--k", "3", "--budget", "{x}", "--out", "{out}"],
+    ["frozen", "--n", "3", "--k", "{x}", "--budget", "100", "--out", "{out}"],
+    ["run", "--game", "coloring", "--k", "{x}", "--graph-file", "{g}", "--out", "{out}"],
+    ["gen", "--graph", "ring", "--n", "{x}", "--out", "{out}"],
+    ["gen", "--graph", "torus", "--n", "{x}", "--out", "{out}"],
+    ["simgame", "--n", "{x}", "--orders", "1", "--out", "{out}"],
+    ["frozen", "--n", "{x}", "--k", "3", "--budget", "100", "--out", "{out}"],
+    ["gen", "--graph", "random-regular", "--n", "10", "--d", "3", "--seed", "1", "--power", "{x}",
+     "--out", "{out}"],
+]
+PROBED_COSTS = [
+    ["run", "--game", "pgg", "--c", "{x}", "--graph-file", "{g}", "--out", "{out}"],
+    ["simgame", "--n", "8", "--orders", "1", "--c", "{x}", "--out", "{out}"],
+    ["poa", "--family", "pgg-instance", "--d", "3", "--k", "2", "--c", "{x}", "--out", "{out}"],
+]
+RING6 = {"generator": "ring", "n": 6}
+PGG = {"game": "pgg", "c": "1/2"}
+PROBED_CONFIGS = [
+    [], "cfg", 5, {"graph": [], "game": PGG, "dynamics": {}},
+    {"graph": RING6, "game": "pgg", "dynamics": {}},
+    {"graph": RING6, "game": PGG, "dynamics": []},
+    {"graph": {"generator": "ring", "n": "6"}, "game": PGG, "dynamics": {}},
+    {"graph": {"generator": "ring", "n": 6.0}, "game": PGG, "dynamics": {}},
+    {"graph": {"generator": 5, "n": 6}, "game": PGG, "dynamics": {}},
+    {"graph": {"file": 5}, "game": PGG, "dynamics": {}},
+    {"graph": RING6, "game": {"game": "pgg", "c": 0.5}, "dynamics": {}},
+    {"graph": RING6, "game": {"game": ["pgg"], "c": "1/2"}, "dynamics": {}},
+    {"graph": RING6, "game": PGG, "dynamics": {"seed": 1.5}},
+    {"graph": RING6, "game": PGG, "dynamics": {"policy": 5}},
+    {"graph": RING6, "game": PGG, "dynamics": {"max_rounds": -1}},
+    {"graph": RING6, "game": PGG, "dynamics": {"init": "0,1,0,1,0,1"}},
+    {"graph": RING6, "game": PGG, "dynamics": {"init": [0.0, 1, 0, 1, 0, 1]}},
+]
+GAMES = [["--game", "minority"], ["--game", "pgg", "--c", "1/2"], ["--game", "coloring", "--k", "3"]]
+PROBED_CASES = (
+    [(["verify", *game, "--graph-file", "{g}", "--profile", "{p}", "--out", "{out}"], profile, None)
+     for profile in PROBED_PROFILES for game in GAMES]
+    + [(["run", "--game", "minority", "--graph-file", "{g}", "--init", init, "--out", "{out}"], None, None)
+       for init in PROBED_INITS]
+    + [([arg.replace("{x}", x) for arg in argv], None, None) for argv in PROBED_COUNTS for x in ("0", "-1")]
+    + [([arg.replace("{x}", c) for arg in argv], None, None)
+       for argv in PROBED_COSTS for c in ("x", "1/0", "-1/2", "2")]
+    + [(["run", "--config", "{cfg}", "--out", "{out}"], None, config) for config in PROBED_CONFIGS]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, profile, config", PROBED_CASES, ids=[f"{case[0][0]}-{i}" for i, case in enumerate(PROBED_CASES)]
+)
+def test_mutated_profiles_flags_and_configs_exit_cleanly(tmp_path, argv, profile, config):
+    files = {name: tmp_path / f"{name}.json" for name in ("g", "p", "cfg", "out")}
+    assert run_cli("gen", "--graph", "ring", "--n", "6", "--out", str(files["g"])) == 0
+    files["p"].write_bytes(profile if profile is not None else b'{"profile": [0, 1, 0, 1, 0, 1]}')
+    files["cfg"].write_text(json.dumps(config))
+    argv = [arg.format(**{name: str(path) for name, path in files.items()}) for arg in argv]
+    try:
+        probe_cli([*argv, "--deterministic"])
+    except SystemExit as exc:  # argparse rejected the flags before any work
+        assert exc.code == 2

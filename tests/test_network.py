@@ -877,6 +877,42 @@ def test_graph_from_json_matches_three_stage_validation():
     check()
 
 
+def test_graph_from_json_sorts_only_an_unsorted_edge_list():
+    # A sorted file loads without the per-node sort; a shuffled one must be
+    # sorted, or the constructor would reject its adjacency as unsorted.
+    net = random_regular(30, 3, seed=4)
+    ordered = graph_to_json(net)
+    shuffled = dict(ordered, edges=list(ordered["edges"]))
+    Random(1).shuffle(shuffled["edges"])
+    assert shuffled["edges"] != ordered["edges"]
+    for obj in (ordered, shuffled):
+        assert graph_from_json(obj) == net == reference_graph_from_json(obj)
+    # A repeated edge ends in the constructor's duplicate check either way.
+    u, v = ordered["edges"][7]
+    for obj in (
+        dict(ordered, edges=sorted([*ordered["edges"], [u, v]])),
+        dict(shuffled, edges=[*shuffled["edges"], [u, v]]),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            graph_from_json(obj)
+        assert str(exc.value) == f"duplicate edge {u}-{v}"
+        with pytest.raises(ValidationError) as exc:
+            reference_graph_from_json(obj)
+        assert str(exc.value) == f"duplicate edge {u}-{v}"
+
+
+def test_graph_from_json_names_the_first_fault_in_list_order():
+    # One walk checks each entry whole: an out-of-range edge is named before
+    # a later entry listed with u > v, which the three-stage loader names.
+    obj = {"n": 4, "edges": [[0, 7], [1, 0]], "max_degree": 1}
+    with pytest.raises(ValidationError) as exc:
+        graph_from_json(obj)
+    assert str(exc.value) == "edge 0-7 out of range for n=4"
+    with pytest.raises(ValidationError) as exc:
+        reference_graph_from_json(obj)
+    assert str(exc.value) == "edge [1, 0] must be listed with u < v"
+
+
 def test_double_cover_and_power_graph_match_edge_list_builds():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
