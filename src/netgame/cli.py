@@ -12,11 +12,13 @@ never as decimals.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from random import Random
 
@@ -50,11 +52,12 @@ def _emit(write, value, nl: str) -> None:
     does, ``nl`` being a newline and the current indentation.
 
     Dicts with ``str`` keys, lists, tuples, strings and exact ints are
-    written here, an int list as one ``join`` per slice of ``_SLICE`` items
-    (json's pure-Python indented encoder takes several generator steps per
-    item); every other value (None, bools, floats, empty containers, dicts
-    with other keys) is ``json.dumps`` re-indented. Writing in pieces keeps
-    a large list from being held as one string."""
+    written here, an int list, or a list of int pairs such as an edge list,
+    as one ``join`` per slice of ``_SLICE`` items (json's pure-Python
+    indented encoder takes several generator steps per item); every other
+    value (None, bools, floats, empty containers, dicts with other keys) is
+    ``json.dumps`` re-indented. Writing in pieces keeps a large list from
+    being held as one string."""
     if isinstance(value, str):
         write(encode_basestring_ascii(value))
     elif type(value) is int:
@@ -74,6 +77,12 @@ def _emit(write, value, nl: str) -> None:
             for i in range(0, len(value), _SLICE):
                 write(("[" if i == 0 else ",") + inner
                       + sep.join(map(int.__repr__, value[i : i + _SLICE])))
+        elif (set(map(type, value)) <= {list, tuple} and set(map(len, value)) == {2}
+              and set(map(type, chain.from_iterable(value))) == {int}):
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            for i in range(0, len(value), _SLICE):
+                write(("[" if i == 0 else ",") + inner
+                      + sep.join([pair % (u, v) for u, v in value[i : i + _SLICE]]))
         else:
             lead = "[" + inner
             for item in value:
@@ -99,7 +108,16 @@ def _load_json(path: str, what: str) -> dict:
 
 
 def _load_graph(path: str) -> network.Network:
-    return network.graph_from_json(_load_json(path, "graph"))
+    """The network in a graph file. Cyclic GC is paused for the parse and the
+    build, which allocate tens of thousands of lists that all stay live, and
+    then left as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return network.graph_from_json(_load_json(path, "graph"))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _game_descriptor(args: argparse.Namespace) -> dict:

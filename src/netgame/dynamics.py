@@ -11,6 +11,12 @@ The engine also enforces each game kind's run-time invariants (see
 the cut-edge count, and in the public-goods game the producer set must be
 independent after round 1 and a maximal independent set from round 2 on.
 
+`run` checks that a round order schedules every node exactly once where
+the caller supplies it: a `FixedOrder` once, when round 1 starts, and each
+`ExplicitOrders` entry when its round is reached. A `FreshRandomEachRound`
+order is a shuffle of ``range(n)``, a permutation by construction, and is
+not checked.
+
 A single run is strictly sequential (the model is sequential play);
 distinct runs share no mutable state and may execute in parallel.
 """
@@ -162,7 +168,6 @@ def run(
     rounds_executed = 0
     for round_index in range(1, max_rounds + 1):
         order = _round_order(policy, round_index, n)
-        _validate_order(n, order)
         switches = engine.sweep(order)
         rounds_executed = round_index
         welfares.append(engine.welfare())
@@ -213,7 +218,11 @@ def _cuts_from_welfare(
 
 
 def _round_order(policy: SchedulePolicy, round_index: int, n: int) -> tuple[int, ...]:
+    """The order of round ``round_index``; a supplied order is checked the
+    first time a round uses it (see the module docstring)."""
     if isinstance(policy, FixedOrder):
+        if round_index == 1:
+            _validate_order(n, policy.order)
         return tuple(policy.order)
     if isinstance(policy, FreshRandomEachRound):
         rng = Random(derive_seed(policy.seed, "round", round_index))
@@ -225,7 +234,9 @@ def _round_order(policy: SchedulePolicy, round_index: int, n: int) -> tuple[int,
             raise ValidationError(
                 f"explicit schedule has {len(policy.orders)} rounds, needed round {round_index}"
             )
-        return tuple(policy.orders[round_index - 1])
+        order = tuple(policy.orders[round_index - 1])
+        _validate_order(n, order)
+        return order
     raise ValidationError(f"unknown schedule policy {policy!r}")
 
 

@@ -151,8 +151,8 @@ class BestResponseEngine:
     def reset(self, profile: Profile) -> None:
         """Start over from ``profile`` (unvalidated), keeping the table."""
         self.profile = prof = list(profile)
-        weight, table = self.weight, self.table
-        self.key = key = [sum([weight[prof[u]] for u in nbrs]) for nbrs in self.nbrs]
+        table = self.table
+        self.key = key = self.keys(prof, self.nbrs)
         self.pay = pay = [0] * len(prof)
         for v, a in enumerate(prof):
             pay[v] = (table.get(key[v]) or self.entry(v, key[v]))[0][a]
@@ -161,6 +161,11 @@ class BestResponseEngine:
     def key_of(self, labels) -> int:
         """The key of a neighborhood playing the action indices ``labels``."""
         return sum(self.weight[a] for a in labels)
+
+    def keys(self, profile, adjacency) -> list[int]:
+        """Every node's key under ``profile``, its neighbors read from ``adjacency``."""
+        weight = self.weight
+        return [sum([weight[profile[u]] for u in nbrs]) for nbrs in adjacency]
 
     def entry(self, v: int, key: int) -> tuple[list[int], tuple[int, ...]]:
         """``(payoff numerators, preferred response per own action)`` at ``key``."""

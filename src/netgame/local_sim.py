@@ -135,10 +135,11 @@ def simulate_fair_rounds(
     schedule = [classes[color] for color in sorted(classes)]
 
     engine = BestResponseEngine(game, init)
-    prof, check_round = engine.profile, game.kind.check_round
+    prof, key, table, entry = engine.profile, engine.key, engine.table, engine.entry
+    check_round = game.kind.check_round
     for r in range(1, rounds + 1):
         for members in schedule:
-            moves = [engine.entry(v, engine.key[v])[1][prof[v]] for v in members]
+            moves = [(table.get(key[v]) or entry(v, key[v]))[1][prof[v]] for v in members]
             for v, choice in zip(members, moves):
                 if choice != prof[v]:  # no neighbor of v is in its class
                     engine.switch(v, choice)

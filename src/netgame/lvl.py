@@ -5,6 +5,11 @@ response to its neighbors' labels, so a profile passes at every node
 exactly when it is a Nash equilibrium. The configuration set is kept
 intensional (a predicate) because enumerating labeled stars is
 exponential in the degree and adds nothing.
+
+``LvlSpec.accept`` is the public predicate. `verify` gives the same verdict
+at every node without a call per node: it computes every node's key in
+one pass, as `BestResponseEngine.reset` does, and reads the preferred
+response from the compiled spec's engine table.
 """
 
 from __future__ import annotations
@@ -24,12 +29,14 @@ class LvlSpec:
     """Alphabet plus a deterministic accept predicate over labeled stars.
 
     ``accept(center, center_label, neighbor_labels)`` reads only the
-    radius-1 star. ``radius`` is always 1.
+    radius-1 star. ``radius`` is always 1. ``engine`` is the best-response
+    engine behind ``accept``, whose table `verify` reads.
     """
 
     alphabet: tuple[tuple[Action, ...], ...]
     radius: int
     accept: AcceptPredicate
+    engine: BestResponseEngine
 
 
 @dataclass(frozen=True)
@@ -49,11 +56,12 @@ def compile_lvl(game: GraphicalGame) -> LvlSpec:
     def accept(v: int, center_label: int, neighbor_labels: tuple[int, ...]) -> bool:
         return engine.entry(v, engine.key_of(neighbor_labels))[1][center_label] == center_label
 
-    return LvlSpec(alphabet=game.actions, radius=1, accept=accept)
+    return LvlSpec(alphabet=game.actions, radius=1, accept=accept, engine=engine)
 
 
 def verify(spec: LvlSpec, net: Network, labels: Profile) -> Verdict:
-    """Run the accept predicate at every node; collect violators in node order."""
+    """The accept predicate's verdict at every node, read from the spec's
+    engine table by key; collect violators in node order."""
     if len(labels) != net.node_count:
         raise ValidationError(
             f"labeling has {len(labels)} entries for {net.node_count} nodes"
@@ -61,9 +69,8 @@ def verify(spec: LvlSpec, net: Network, labels: Profile) -> Verdict:
     for v, lab in enumerate(labels):
         if type(lab) is not int or not 0 <= lab < len(spec.alphabet[v]):
             raise ValidationError(f"label {lab!r} invalid for node {v}")
-    violations = []
-    for v in range(net.node_count):
-        neighbor_labels = tuple(labels[u] for u in net.neighbors(v))
-        if not spec.accept(v, labels[v], neighbor_labels):
-            violations.append(v)
+    engine = spec.engine
+    table, entry = engine.table, engine.entry
+    violations = [v for v, (key, lab) in enumerate(zip(engine.keys(labels, net.adjacency), labels))
+                  if (table.get(key) or entry(v, key))[1][lab] != lab]
     return Verdict(accepted=not violations, violations=tuple(violations))

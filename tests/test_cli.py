@@ -289,9 +289,24 @@ def test_write_json_matches_indented_json_dumps(tmp_path):
         st.lists(ints, min_size=1, max_size=5).map(lambda xs: [*xs, True]),  # a bool is not an int
         st.lists(ints, max_size=5).map(tuple),
     )
+    pair = st.one_of(st.tuples(ints, ints), st.tuples(ints, ints).map(list))
+    long_pair_lists = st.builds(  # edge lists longer than one slice of the writer
+        lambda size, seed: [[u, u + Random(seed + u).randrange(1, 99)] for u in range(size)],
+        st.integers(cli._SLICE - 2, cli._SLICE + 30), st.integers(0, 99),
+    )
+    pair_lists = st.one_of(
+        st.lists(pair, min_size=1, max_size=20),
+        long_pair_lists,
+        st.lists(pair, min_size=1, max_size=5).map(tuple),
+        # Pairs mixed with other items, with a bool, or next to an empty inner list.
+        st.lists(st.one_of(pair, ints, st.lists(ints, max_size=3)), min_size=1, max_size=8),
+        st.lists(pair, min_size=1, max_size=5).map(lambda ps: [*ps, [1, True]]),
+        st.lists(pair, min_size=1, max_size=5).map(lambda ps: [*ps, []]),
+        st.lists(pair, min_size=1, max_size=5).map(lambda ps: [*ps, (1, 2, 3)]),
+    )
     scalars = st.one_of(st.none(), st.booleans(), ints, st.floats(), text)
     values = st.recursive(
-        st.one_of(scalars, int_lists),
+        st.one_of(scalars, int_lists, pair_lists),
         lambda children: st.one_of(
             st.lists(children, max_size=4),
             st.lists(children, max_size=4).map(tuple),
@@ -312,8 +327,9 @@ def test_write_json_matches_indented_json_dumps(tmp_path):
     check()
 
 
-def test_write_json_streams_a_long_int_list(tmp_path, monkeypatch):
-    # Pieces, not one string of the whole file: that keeps peak memory level.
+@pytest.fixture
+def piece_sizes(monkeypatch):
+    """The length of every piece `cli._write_json` writes."""
     sizes = []
 
     class Recorder:
@@ -331,11 +347,61 @@ def test_write_json_streams_a_long_int_list(tmp_path, monkeypatch):
             return self.fh.write(piece)
 
     monkeypatch.setattr(cli, "open", lambda *args, **kw: Recorder(open(*args, **kw)), raising=False)
+    return sizes
+
+
+def test_write_json_streams_a_long_int_list(tmp_path, piece_sizes):
+    # Pieces, not one string of the whole file: that keeps peak memory level.
     payload = {"profile": list(range(10000)), "n": 10000}
     cli._write_json(str(tmp_path / "p.json"), payload)
     written = (tmp_path / "p.json").read_text()
     assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert len(sizes) > 1 and max(sizes) < len(written) // 2
+    assert len(piece_sizes) > 1 and max(piece_sizes) < len(written) // 2
+
+
+def test_write_json_writes_an_edge_list_by_slice(tmp_path, piece_sizes):
+    # One piece per slice of edges, not three per edge.
+    payload = {"edges": [[u, u + 1] for u in range(3000)], "n": 3001}
+    cli._write_json(str(tmp_path / "g.json"), payload)
+    assert (tmp_path / "g.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(piece_sizes) < 12
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "graph file not found"),
+        ("{not json", "is not valid JSON"),
+        ('{"n": 3, "edges": [[0, 5]], "max_degree": 1}', "edge 0-5 out of range for n=3"),
+        ('{"n": 3, "edges": [[0, 1], [1, 2]], "max_degree": 2}', None),
+    ],
+    ids=["missing", "not_json", "bad_graph", "good"],
+)
+def test_load_graph_leaves_gc_as_it_found_it(tmp_path, capsys, enabled, content, message):
+    import gc
+
+    path = tmp_path / "g.json"
+    if content is not None:
+        path.write_text(content)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if message is None:
+            assert cli._load_graph(str(path)).edge_count == 2
+        else:
+            with pytest.raises(ValidationError):
+                cli._load_graph(str(path))
+        assert gc.isenabled() is enabled
+        code = run_cli("verify", "--game", "minority", "--graph-file", str(path),
+                       "--profile", str(tmp_path / "p.json"), "--out", str(tmp_path / "v.json"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.strip().splitlines()) == 1
+    # A good graph fails later, on the missing profile file.
+    assert (message or "profile file not found") in err
 
 
 def test_deterministic_outputs_are_byte_identical(tmp_path, monkeypatch):

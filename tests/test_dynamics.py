@@ -390,3 +390,45 @@ def test_run_rejects_a_fractional_welfare_cut():
     shifted = replace(g, utility_fn=lambda v, own, nbrs: g.utility_fn(v, own, nbrs) + HALF)
     with pytest.raises(SimulationFault, match="^welfare -3 after round 0 gives a fractional cut 3/4$"):
         run(shifted, (0,) * 6, FixedOrder(tuple(range(6))))
+
+
+def test_fresh_random_round_orders_are_permutations():
+    # `run` does not check these orders, so every one must be a permutation
+    # by construction.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(0, 2**64), st.integers(1, 10**6), st.integers(0, 300))
+    def check(seed, round_index, n):
+        assert sorted(_round_order(FreshRandomEachRound(seed), round_index, n)) == list(range(n))
+
+    check()
+
+
+def test_run_checks_a_fixed_order_when_round_1_starts():
+    g = pgg_game(ring(4), HALF)
+    bad = FixedOrder((0, 1, 1, 3))
+    with pytest.raises(ValidationError, match="^order must be a permutation scheduling every node exactly once$"):
+        run(g, (0, 0, 0, 0), bad, max_rounds=1)
+    # No round starts, so no order is used or checked.
+    assert run(g, (0, 0, 0, 0), bad, max_rounds=0).rounds_executed == 0
+
+
+def test_run_checks_each_explicit_order_when_its_round_is_reached():
+    from dataclasses import replace
+
+    g = pgg_game(ring(4), HALF)
+    finished = []
+    g = replace(g, kind=replace(g.kind, check_round=lambda game, profile, r: finished.append(r)))
+    orders = ExplicitOrders(((0, 1, 2, 3), (0, 1, 2)))
+    # An equilibrium converges in round 1 and never reaches the bad entry.
+    trace = run(g, (1, 0, 1, 0), orders, max_rounds=5)
+    assert trace.converged and trace.rounds_executed == 1
+    # All-free-riding switches in round 1, so round 2 is reached.
+    finished.clear()
+    with pytest.raises(ValidationError, match="^order must be a permutation scheduling every node exactly once$"):
+        run(g, (0, 0, 0, 0), orders, max_rounds=5)
+    assert finished == [1]
+    with pytest.raises(ValidationError, match="^order must be a permutation"):
+        run(g, (0, 0, 0, 0), ExplicitOrders(((3, 2, 1, 0, 0),)), max_rounds=5)

@@ -6,9 +6,9 @@ from random import Random
 import pytest
 
 from netgame.errors import ValidationError
-from netgame.game import coloring_game, is_nash_equilibrium, minority_game, pgg_game
-from netgame.lvl import compile_lvl, verify
-from netgame.network import torus
+from netgame.game import best_responses, coloring_game, is_nash_equilibrium, minority_game, pgg_game
+from netgame.lvl import Verdict, compile_lvl, verify
+from netgame.network import random_regular, torus
 from conftest import path_graph
 
 HALF = Fraction(1, 2)
@@ -84,10 +84,12 @@ def test_verify_rejects_shape_mismatch():
     net = path_graph(3)
     g = pgg_game(net, HALF)
     spec = compile_lvl(g)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^labeling has 2 entries for 3 nodes$"):
         verify(spec, net, (0, 1))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^label 7 invalid for node 2$"):
         verify(spec, net, (0, 1, 7))
+    with pytest.raises(ValidationError, match=r"^label True invalid for node 0$"):
+        verify(spec, net, (True, 1, 0))
 
 
 def test_verdict_json():
@@ -96,3 +98,38 @@ def test_verdict_json():
     verdict = verify(compile_lvl(g), net, (1, 1, 0))
     payload = json.loads(json.dumps(verdict.to_json()))
     assert payload == {"accepted": False, "violations": [0, 1]}
+
+
+def accept_reference(spec, net, labels):
+    """Violators by one `LvlSpec.accept` call per node."""
+    return tuple(
+        v for v in range(net.node_count)
+        if not spec.accept(v, labels[v], tuple(labels[u] for u in net.neighbors(v)))
+    )
+
+
+def differential_games():
+    from test_engine import thirds_pgg_ring6
+
+    for net in (random_regular(40, 3, 1), random_regular(30, 4, 2), torus(5)):
+        yield pgg_game(net, Fraction(1, 3))
+        yield minority_game(net)
+        yield coloring_game(net, 3)
+    # Entries with no producing neighbor are in halves, the others in thirds:
+    # the engine's common denominator grows while verify fills its table.
+    yield thirds_pgg_ring6()
+    yield thirds_pgg_ring6(1, Fraction(-4, 3))
+
+
+@pytest.mark.parametrize("game", differential_games())
+def test_verify_matches_the_accept_predicate_at_every_node(game):
+    net, rng = game.network, Random(7)
+    reused = compile_lvl(game)  # as `simgame` and `frozen` reuse one spec
+    for _ in range(25):
+        labels = tuple(rng.randrange(len(game.actions[v])) for v in range(net.node_count))
+        expected = accept_reference(compile_lvl(game), net, labels)
+        for spec in (compile_lvl(game), reused):
+            assert verify(spec, net, labels) == Verdict(not expected, expected)
+        assert expected == tuple(v for v in range(net.node_count)
+                                 if labels[v] not in best_responses(game, v, labels))
+
