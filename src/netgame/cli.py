@@ -7,11 +7,15 @@ block, a ``run --config`` the config in place of the run flags it overrides;
 ``--deterministic`` suppresses the timestamp so identical runs produce
 byte-identical files. Rationals cross this boundary as ``"p/q"`` text,
 never as decimals.
+
+The argument parser is built once per process (`build_parser` is cached);
+``parse_args`` keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -448,7 +452,9 @@ def _cmd_local_sim(args: argparse.Namespace) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, shared by every call: do not change it."""
     parser = argparse.ArgumentParser(
         prog="netgame",
         description="Games on networks: dynamics, local verification, oracles.",

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable
 
 from .errors import SimulationFault, ValidationError
 from .network import Network, domination_number
-from .seeds import randbelow
+from .seeds import randbelow_each
 
 Action = object  # an action value, e.g. "P", -1, or a color number
 Profile = tuple[int, ...]  # one action index per node
@@ -83,8 +84,7 @@ def validate_profile(game: GraphicalGame, profile: Profile) -> None:
 
 def random_profile(game: GraphicalGame, rng: Random) -> Profile:
     """Uniform independent draw per node over that node's action list."""
-    actions = game.actions
-    return tuple([randbelow(rng, len(actions[v])) for v in range(game.network.node_count)])
+    return tuple(randbelow_each(rng, map(len, game.actions)))
 
 
 def neighbor_values(game: GraphicalGame, v: int, profile: Profile) -> tuple[Action, ...]:
@@ -128,7 +128,9 @@ class BestResponseEngine:
     `best_response_payoffs`, the payoff numerators over the common
     denominator ``den`` (rescaled by the lcm when needed, never rounded) and
     per own action the preferred response. All nodes share one action list.
-    `reset` and `move` keep ``key``, ``pay`` and ``welfare_num`` current.
+    `reset` and `move` keep ``key``, ``pay`` and ``welfare_num`` current;
+    `keys` reads each node's neighbors through one ``itemgetter`` per node,
+    built with the engine.
     Best-response switches go through `switch`,
     which runs the kind's ``check_switch``; `move` alone is unchecked.
     `enumerate_ne` uses no profile: it fills ``table`` by `entry` and
@@ -143,6 +145,13 @@ class BestResponseEngine:
         self.check_switch = game.kind.check_switch
         self.radix = game.network.max_degree + 1
         self.weight = [self.radix**a for a in range(len(acts))]
+        # ``itemgetter(u)`` returns a scalar and ``itemgetter()`` raises, so a
+        # node of degree 0 or 1 reads its neighbors as a slice.
+        self.getters = [
+            itemgetter(*nbrs) if len(nbrs) > 1
+            else itemgetter(slice(nbrs[0], nbrs[0] + 1) if nbrs else slice(0))
+            for nbrs in self.nbrs
+        ]
         self.table: dict[int, tuple[list[int], tuple[int, ...]]] = {}
         self.den, self.pay, self.welfare_num = 1, [], 0
         if profile is not None:
@@ -152,7 +161,7 @@ class BestResponseEngine:
         """Start over from ``profile`` (unvalidated), keeping the table."""
         self.profile = prof = list(profile)
         table = self.table
-        self.key = key = self.keys(prof, self.nbrs)
+        self.key = key = self.keys(prof)
         self.pay = pay = [0] * len(prof)
         for v, a in enumerate(prof):
             pay[v] = (table.get(key[v]) or self.entry(v, key[v]))[0][a]
@@ -162,10 +171,11 @@ class BestResponseEngine:
         """The key of a neighborhood playing the action indices ``labels``."""
         return sum(self.weight[a] for a in labels)
 
-    def keys(self, profile, adjacency) -> list[int]:
-        """Every node's key under ``profile``, its neighbors read from ``adjacency``."""
+    def keys(self, profile) -> list[int]:
+        """Every node's key under ``profile``."""
         weight = self.weight
-        return [sum([weight[profile[u]] for u in nbrs]) for nbrs in adjacency]
+        weights = [weight[a] for a in profile]
+        return [sum(get(weights)) for get in self.getters]
 
     def entry(self, v: int, key: int) -> tuple[list[int], tuple[int, ...]]:
         """``(payoff numerators, preferred response per own action)`` at ``key``."""

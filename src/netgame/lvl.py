@@ -61,7 +61,11 @@ def compile_lvl(game: GraphicalGame) -> LvlSpec:
 
 def verify(spec: LvlSpec, net: Network, labels: Profile) -> Verdict:
     """The accept predicate's verdict at every node, read from the spec's
-    engine table by key; collect violators in node order."""
+    engine table by key; collect violators in node order. ``net`` must equal
+    the network the spec was compiled on."""
+    engine = spec.engine
+    if net != engine.game.network:
+        raise ValidationError("labeling's network is not the one the verifier was compiled on")
     if len(labels) != net.node_count:
         raise ValidationError(
             f"labeling has {len(labels)} entries for {net.node_count} nodes"
@@ -69,8 +73,7 @@ def verify(spec: LvlSpec, net: Network, labels: Profile) -> Verdict:
     for v, lab in enumerate(labels):
         if type(lab) is not int or not 0 <= lab < len(spec.alphabet[v]):
             raise ValidationError(f"label {lab!r} invalid for node {v}")
-    engine = spec.engine
     table, entry = engine.table, engine.entry
-    violations = [v for v, (key, lab) in enumerate(zip(engine.keys(labels, net.adjacency), labels))
+    violations = [v for v, (key, lab) in enumerate(zip(engine.keys(labels), labels))
                   if (table.get(key) or entry(v, key))[1][lab] != lab]
     return Verdict(accepted=not violations, violations=tuple(violations))

@@ -417,7 +417,7 @@ def find_frozen_configuration(
             if steps + n > budget:
                 return None
             steps += n
-            if engine.welfare() == n:  # proper: every node has utility 1
+            if engine.welfare_num == n * engine.den:  # proper: every node has utility 1
                 break
             order = list(range(n))
             shuffle(rng, order)

@@ -762,3 +762,47 @@ def test_mutated_profiles_flags_and_configs_exit_cleanly(tmp_path, argv, profile
         probe_cli([*argv, "--deterministic"])
     except SystemExit as exc:  # argparse rejected the flags before any work
         assert exc.code == 2
+
+
+# -- the parser shared by every call in a process
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen", "--graph", "torus", "--n", "4", "--deterministic", "--out", "g.json")
+    plain = ("run", "--game", "minority", "--graph-file", "g.json", "--deterministic",
+             "--out", "t.csv", "--profile-out", "p.json")
+
+    def outputs():
+        return (tmp_path / "t.csv").read_bytes(), (tmp_path / "p.json").read_bytes()
+
+    cli.build_parser.cache_clear()  # the plain run below is this parser's first call
+    assert run_cli(*plain) == 0
+    first = outputs()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert run_cli("run", "--game", "pgg", "--c", "1/3", "--graph-file", "g.json", "--policy", "fixed",
+                   "--seed", "5", "--max-rounds", "3", "--deterministic", "--out", "f.csv") == 0
+    assert run_cli(*plain) == 0
+    assert outputs() == first
+
+
+def test_config_run_leaks_no_cleared_flag_into_the_next_call(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen", "--graph", "ring", "--n", "6", "--deterministic", "--out", "g.json")
+    Path("cfg.json").write_text(json.dumps(make_config(tmp_path)))
+    flags = ("run", "--game", "pgg", "--c", "1/2", "--graph-file", "g.json", "--seed", "3",
+             "--deterministic", "--out", "t.csv", "--profile-out", "p.json")
+    assert run_cli("run", "--config", "cfg.json", "--deterministic", "--out", "c.csv",
+                   "--profile-out", "c.json") == 0
+    assert json.loads(Path("c.json").read_text())["meta"]["args"] == {
+        "config": "cfg.json", "deterministic": True, "out": "c.csv", "profile_out": "c.json"}
+    assert run_cli(*flags) == 0
+    assert json.loads(Path("p.json").read_text())["meta"]["args"] == {
+        "c": "1/2", "deterministic": True, "game": "pgg", "graph_file": "g.json", "init": "random",
+        "out": "t.csv", "policy": "random", "profile_out": "p.json", "seed": 3}

@@ -32,12 +32,13 @@ from netgame.game import (
     minority_cut_edges,
     minority_game,
     pgg_game,
+    random_profile,
     utility,
     welfare,
 )
 from netgame.lvl import compile_lvl, verify
 from netgame.local_sim import distance_coloring, simulate_fair_rounds
-from netgame.network import Network, ring, torus
+from netgame.network import Network, random_regular, ring, torus
 from netgame.oracle import NeReport, enumerate_ne
 from conftest import path_graph, star_graph
 from test_dynamics import reference_round
@@ -407,3 +408,32 @@ def test_engine_state_matches_a_recount_from_all_zeros(make_game, ops):
     game = make_game()
     engine = BestResponseEngine(game, (0,) * game.network.node_count)
     apply_ops_checking_state(engine, ops)
+
+
+# `keys` reads neighbors through one `itemgetter` per node, which needs a
+# fallback at degree 0 (`itemgetter()` raises) and degree 1 (`itemgetter(u)`
+# returns a scalar): graphs with isolated nodes, paths, stars and regular graphs.
+KEY_NETWORKS = {
+    "one_node": Network(((),)),
+    "isolated_and_edge": Network.from_edges(4, [(1, 3)]),
+    "path2": path_graph(2),
+    "path7": path_graph(7),
+    "star6": star_graph(6),
+    "star_plus_isolated": Network.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    "regular_20_3": random_regular(20, 3, 4),
+    "regular_24_5": random_regular(24, 5, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GAMES))
+@pytest.mark.parametrize("name", sorted(KEY_NETWORKS))
+def test_keys_and_reset_match_a_recount_after_random_resets(name, kind):
+    game = GAMES[kind](KEY_NETWORKS[name])
+    engine, rng = BestResponseEngine(game), Random(name)
+    neighbors = game.network.neighbors
+    for _ in range(20):
+        profile = random_profile(game, rng)
+        assert engine.keys(profile) == [engine.key_of(profile[u] for u in neighbors(v))
+                                        for v in range(len(profile))]
+        engine.reset(profile)
+        assert_state_matches_recount(engine)

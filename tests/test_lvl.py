@@ -9,7 +9,7 @@ from netgame.errors import ValidationError
 from netgame.game import best_responses, coloring_game, is_nash_equilibrium, minority_game, pgg_game
 from netgame.lvl import Verdict, compile_lvl, verify
 from netgame.network import random_regular, torus
-from conftest import path_graph
+from conftest import path_graph, star_graph
 
 HALF = Fraction(1, 2)
 
@@ -90,6 +90,18 @@ def test_verify_rejects_shape_mismatch():
         verify(spec, net, (0, 1, 7))
     with pytest.raises(ValidationError, match=r"^label True invalid for node 0$"):
         verify(spec, net, (True, 1, 0))
+
+
+@pytest.mark.parametrize("net, labels", [(star_graph(5), (0, 1, 1, 1, 0)), (star_graph(7), (0,) * 7)],
+                         ids=["star5", "star7"])
+def test_verify_rejects_a_network_other_than_the_compiled_one(net, labels):
+    # The spec's keys are read on its own network; on another one, a 5-node
+    # star once gave violations (0, 4) where best_responses gives [4], and a
+    # 7-node star an IndexError. An equal network built anew passes
+    # (test_simgame verifies on a fresh ring(64)).
+    spec = compile_lvl(minority_game(path_graph(5)))
+    with pytest.raises(ValidationError, match=r"^labeling's network is not the one the verifier was compiled on$"):
+        verify(spec, net, labels)
 
 
 def test_verdict_json():

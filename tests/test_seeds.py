@@ -1,11 +1,13 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 import netgame.network as network_mod
 from netgame.errors import ConstructionError
+from netgame.game import GAME_KINDS, GraphicalGame, random_profile
 from netgame.network import Network, random_regular, star_matching
-from netgame.seeds import derive_seed, randbelow, shuffle
+from netgame.seeds import derive_seed, randbelow_each, shuffle
 
 
 def test_shuffle_and_randbelow_match_the_stdlib_draw_for_draw():
@@ -26,7 +28,7 @@ def test_shuffle_and_randbelow_match_the_stdlib_draw_for_draw():
         shuffle(ours, x)
         stdlib.shuffle(y)
         assert x == y
-        assert [randbelow(ours, n) for n in bounds] == [stdlib.randrange(n) for n in bounds]
+        assert randbelow_each(ours, bounds) == [stdlib.randrange(n) for n in bounds]
         assert ours.random() == stdlib.random()  # the same generator state after
 
     check()
@@ -119,3 +121,25 @@ def test_star_matching_is_unchanged(k, d, seed):
     stars = [(c, k + c * d + j) for c in range(k) for j in range(d)]
     assert net == Network.from_edges(k * (d + 1), stars + sorted(leaf_edges))
     assert centers == frozenset(range(k))
+
+
+def test_random_profile_draws_as_randrange_per_node():
+    # Action lists of 1 to 9 entries, non-powers of two included: the profile
+    # and the generator state after it are those of one `randrange` per node.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(0, 2**64), st.lists(st.integers(1, 9), max_size=40))
+    def check(seed, sizes):
+        actions = tuple(tuple(range(size)) for size in sizes)
+        game = GraphicalGame(Network(((),) * len(sizes)), actions, lambda v, own, nbrs: Fraction(0),
+                             GAME_KINDS["coloring"], {})
+        stdlib = Random(seed)
+        want = [stdlib.randrange(len(a)) for a in actions]
+        for draw in (lambda rng: random_profile(game, rng), lambda rng: randbelow_each(rng, sizes)):
+            ours = Random(seed)
+            assert list(draw(ours)) == want
+            assert ours.getstate() == stdlib.getstate()
+
+    check()
