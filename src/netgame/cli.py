@@ -19,7 +19,6 @@ import functools
 import gc
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain
@@ -140,19 +139,8 @@ def _load_game(args: argparse.Namespace) -> game_mod.GraphicalGame:
 # Experiment configs
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The graph, game and dynamics sections of a run, from a config file or
-    translated from ``run`` flags; round-trips through JSON losslessly."""
-
-    graph: dict
-    game: dict
-    dynamics: dict
-
-    def to_json(self) -> dict:
-        return {"graph": dict(self.graph), "game": dict(self.game), "dynamics": dict(self.dynamics)}
-
-
+# A config holds the graph, game and dynamics sections of a run, from a config
+# file or translated from ``run`` flags, as the JSON object itself.
 _CONFIG_SCHEMA = {
     "graph": {"file", "generator", "n", "d", "k", "seed"},
     "game": {"game", "c", "k"},
@@ -160,7 +148,7 @@ _CONFIG_SCHEMA = {
 }
 
 
-def _read_config(path: str) -> ExperimentConfig:
+def _read_config(path: str) -> dict:
     obj = _load_json(path, "config")
     if not isinstance(obj, dict):
         raise ValidationError("config must be a JSON object")
@@ -175,10 +163,10 @@ def _read_config(path: str) -> ExperimentConfig:
         for key in obj[section]:
             if key not in allowed:
                 raise ValidationError(f"unknown config key at /{section}/{key}")
-    return ExperimentConfig(graph=obj["graph"], game=obj["game"], dynamics=obj["dynamics"])
+    return obj
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> dict:
     """Load and validate an experiment config; unknown keys and mistyped
     fields are rejected with their JSON-pointer location."""
     config = _read_config(path)
@@ -186,7 +174,7 @@ def load_config(path: str) -> ExperimentConfig:
     return config
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace) -> dict:
     if args.graph_file is None:
         raise ValidationError("run needs --graph-file or --config")
     init = args.init
@@ -196,18 +184,18 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except ValueError:
             raise ValidationError(f"--init must be 'random' or 'i,j,...', got {init!r}") from None
     dyn = {"policy": args.policy, "seed": args.seed, "init": init, "max_rounds": args.max_rounds}
-    return ExperimentConfig({"file": args.graph_file}, _game_descriptor(args), dyn)
+    return {"graph": {"file": args.graph_file}, "game": _game_descriptor(args), "dynamics": dyn}
 
 
-def _build_run(config: ExperimentConfig) -> tuple:
+def _build_run(config: dict) -> tuple:
     """Validate ``config`` and build the arguments of `dynamics.run`: the
     game (on the network, built once), the initial profile, the schedule
     policy and the round cap; and ``config`` without null values, with
     every seed and dynamics field filled in (``max_rounds`` None is the
     default cap)."""
-    net, graph = _config_network(config.graph)
-    g = game_mod.game_from_descriptor(config.game, net, "/game/")
-    dyn = _present(config.dynamics)
+    net, graph = _config_network(config["graph"])
+    g = game_mod.game_from_descriptor(config["game"], net, "/game/")
+    dyn = _present(config["dynamics"])
     seed = game_mod.typed_field(dyn, "seed", int, "/dynamics/", 0)
     init = given_init = dyn.get("init", "random")
     if init == "random":
@@ -229,7 +217,8 @@ def _build_run(config: ExperimentConfig) -> tuple:
     if max_rounds is not None and max_rounds < 1:
         raise ValidationError(f"/dynamics/max_rounds must be >= 1, got {max_rounds}")
     resolved_dyn = {"policy": policy_name, "seed": seed, "init": given_init, "max_rounds": max_rounds}
-    return (g, init, policy, max_rounds), ExperimentConfig(graph, _present(config.game), resolved_dyn)
+    resolved = {"graph": graph, "game": _present(config["game"]), "dynamics": resolved_dyn}
+    return (g, init, policy, max_rounds), resolved
 
 
 def _present(section: dict) -> dict:
@@ -238,10 +227,19 @@ def _present(section: dict) -> dict:
 
 
 def _config_network(graph: dict) -> tuple[network.Network, dict]:
+    """The network of a config's graph section, and the section without null
+    values and with the generator seed filled in. A file stands alone; a
+    generator takes its own parameters and ``seed``, which all share."""
     graph = _present(graph)
     if "file" in graph:
+        for key in graph:
+            if key != "file":
+                raise ValidationError(f"/graph/{key} cannot be given with /graph/file")
         return _load_graph(game_mod.typed_field(graph, "file", str, "/graph/")), graph
     gen = game_mod.typed_field(graph, "generator", tuple(_GENERATORS), "/graph/")
+    for key in graph:
+        if key not in ("generator", "seed", *_GENERATORS[gen][0]):
+            raise ValidationError(f"/graph/{key} is not a {gen} parameter")
     seed = game_mod.typed_field(graph, "seed", int, "/graph/", 0)
     return _generate(gen, graph, seed, "/graph/")[0], {**graph, "seed": seed}
 
@@ -324,7 +322,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     extra = {}
     if args.config is not None:  # meta records the config, not the run flags it overrides
         vars(args).update(dict.fromkeys(("game", "c", "k", "graph_file", "policy", "init", "seed", "max_rounds")))
-        extra = {"config": resolved.to_json()}
+        extra = {"config": resolved}
     trace = dynamics.run(*run_args)
     csv_text = dynamics.trace_to_csv(trace)
     meta = _meta(
@@ -368,12 +366,10 @@ def _cmd_poa(args: argparse.Namespace) -> int:
             raise ValidationError("poa --family minority-instance needs --graph-file")
         net = _load_graph(args.graph_file)
         payload = oracle.minority_poa_report(game_mod.minority_game(net))
-    elif args.family == "enumerate":
+    else:  # enumerate
         if args.graph_file is None or args.game is None:
             raise ValidationError("poa --family enumerate needs --graph-file and --game")
         payload = oracle.enumerate_ne(_load_game(args)).to_json(max_listed=args.max_listed)
-    else:
-        raise ValidationError(f"unknown poa family {args.family!r}")
     payload["meta"] = _meta(args)
     _write_json(args.out, payload)
     return 0

@@ -514,21 +514,15 @@ def _swap_and_rescan(adjacency, found, g: int, u: int, v: int, up: int, vp: int)
 def _on_short_cycle(adjacency, a: int, b: int, limit: int) -> bool:
     """Whether ``b`` lies within ``limit`` of ``a`` without the edge
     ``{a,b}``, that is, whether the edge lies on a cycle of length at most
-    ``limit + 1``."""
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if dist[x] >= limit:
-            break
-        for y in adjacency[x]:
-            if y in dist or (x == a and y == b):
-                continue
-            if y == b:
-                return True
-            dist[y] = dist[x] + 1
-            queue.append(y)
-    return False
+    ``limit + 1``. The edge is lifted out of the sorted neighbor lists for
+    the search and put back."""
+    adjacency[a].remove(b)
+    adjacency[b].remove(a)
+    try:
+        return b in _ball(adjacency, (a,), limit)
+    finally:
+        insort(adjacency[a], b)
+        insort(adjacency[b], a)
 
 
 # ---------------------------------------------------------------------------
@@ -536,24 +530,16 @@ def _on_short_cycle(adjacency, a: int, b: int, limit: int) -> bool:
 
 
 def two_coloring(net: Network) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A proper 2-coloring as a node bipartition, or None if not bipartite."""
-    color: dict[int, int] = {}
+    """A proper 2-coloring as a node bipartition, or None if not bipartite.
+    A component's sides are the parities of its distances from its least node."""
+    sides: tuple[set[int], set[int]] = (set(), set())
     for start in range(net.node_count):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in net.adjacency[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    side_a = frozenset(v for v, c in color.items() if c == 0)
-    side_b = frozenset(v for v, c in color.items() if c == 1)
-    return side_a, side_b
+        if start not in sides[0] and start not in sides[1]:
+            for x, d in _ball(net.adjacency, (start,), None).items():
+                sides[d & 1].add(x)
+    if any(not side.isdisjoint(net.adjacency[x]) for side in sides for x in side):
+        return None
+    return frozenset(sides[0]), frozenset(sides[1])
 
 
 def is_perfect_dominating_set(net: Network, centers: frozenset[int] | set[int]) -> bool:

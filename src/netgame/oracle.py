@@ -149,13 +149,17 @@ def _search(engine: BestResponseEngine) -> tuple[list[Profile], list[int], int]:
     ``engine.den``, and the largest welfare numerator of any profile.
 
     The table is first filled for every neighbor-count key of every degree
-    present, so ``den`` is final. Both searches then assign the nodes depth
-    first in `_cuthill_mckee` order, keep each node's partial key, and read a
-    node's entry as soon as its closed neighborhood is assigned. The
-    equilibrium search backtracks when such a node is off its preferred
-    response. The optimum is found by branch and bound from the best
-    equilibrium welfare (else the all-zero profile's), bounding each
-    unfinished node by its degree's largest table payoff.
+    present, so ``den`` is final. One depth-first walk then assigns the nodes
+    in `_cuthill_mckee` order, keeps each node's partial key, and reads a
+    node's row as soon as its closed neighborhood is assigned; a None entry
+    ends the branch, and so does a branch whose welfare, each unfinished node
+    bounded by its degree's largest table payoff, cannot exceed ``best``. It
+    runs twice. The first run reads ``settled``, whose entries are None off
+    the preferred response, from a ``best`` below every profile's welfare:
+    it backtracks over the equilibria and collects each. The second reads
+    ``pays`` from the best equilibrium welfare (else the all-zero profile's)
+    and raises ``best`` at each profile it completes: branch and bound for
+    the optimum.
     """
     nbrs, weight, table = engine.nbrs, engine.weight, engine.table
     k, n = len(engine.acts), len(nbrs)
@@ -173,6 +177,7 @@ def _search(engine: BestResponseEngine) -> tuple[list[Profile], list[int], int]:
     settled = {key: [x if pref[a] == a else None for a, x in enumerate(p)]
                for key, (p, pref) in table.items()}
     top = {d: max(max(pays[key]) for key in ks) for d, ks in keys.items()}
+    low = {d: min(min(pays[key]) for key in ks) for d, ks in keys.items()}
     order = _cuthill_mckee(nbrs)
     pos = {v: i for i, v in enumerate(order)}
     finished: list[list[int]] = [[] for _ in order]  # by the step that completes them
@@ -186,32 +191,7 @@ def _search(engine: BestResponseEngine) -> tuple[list[Profile], list[int], int]:
     equilibria: list[Profile] = []
     ne_welfare: list[int] = []
 
-    def equilibrium(i: int, total: int) -> None:
-        if i == n:
-            equilibria.append(tuple(prof))
-            ne_welfare.append(total)
-            return
-        v, nb, fin, _ = steps[i]
-        for a in range(k):
-            prof[v] = a
-            w = weight[a]
-            for u in nb:
-                partial[u] += w
-            t = total
-            for x in fin:
-                p = settled[partial[x]][prof[x]]
-                if p is None:
-                    break
-                t += p
-            else:
-                equilibrium(i + 1, t)
-            for u in nb:
-                partial[u] -= w
-
-    equilibrium(0, 0)
-    best = max(ne_welfare, default=zero)
-
-    def optimum(i: int, total: int) -> None:
+    def walk(rows: dict, i: int, total: int) -> None:
         nonlocal best
         v, nb, fin, bound = steps[i]
         for a in range(k):
@@ -221,17 +201,27 @@ def _search(engine: BestResponseEngine) -> tuple[list[Profile], list[int], int]:
                 partial[u] += w
             t = total
             for x in fin:
-                t += pays[partial[x]][prof[x]]
-            if t + bound > best:
-                if i + 1 == n:
-                    best = t
-                else:
-                    optimum(i + 1, t)
+                p = rows[partial[x]][prof[x]]
+                if p is None:
+                    break
+                t += p
+            else:
+                if t + bound > best:
+                    if i + 1 < n:
+                        walk(rows, i + 1, t)
+                    elif rows is pays:
+                        best = t
+                    else:
+                        equilibria.append(tuple(prof))
+                        ne_welfare.append(t)
             for u in nb:
                 partial[u] -= w
 
+    best = sum(low[len(nb)] for nb in nbrs) - 1  # below every profile's welfare
+    walk(settled, 0, 0)
+    best = max(ne_welfare, default=zero)
     if rest[0] > best:
-        optimum(0, 0)
+        walk(pays, 0, 0)
     return equilibria, ne_welfare, best
 
 

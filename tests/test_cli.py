@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from netgame import cli
-from netgame.cli import ExperimentConfig, load_config, main
+from netgame.cli import load_config, main
 from netgame.errors import ValidationError
 from netgame.game import is_nash_equilibrium, pgg_game
 from netgame.network import graph_from_json
@@ -433,9 +433,7 @@ def test_config_round_trip(tmp_path):
     cfg = make_config(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    loaded = load_config(str(path))
-    assert isinstance(loaded, ExperimentConfig)
-    assert loaded.to_json() == cfg
+    assert load_config(str(path)) == cfg
 
 
 def test_config_rejects_bad_cost(tmp_path):
@@ -468,6 +466,27 @@ def test_config_generator_missing_parameter_names_pointer(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ({"generator": "ring", "n": 5, "d": 3}, "/graph/d is not a ring parameter"),
+        ({"generator": "torus", "n": 4, "k": 2}, "/graph/k is not a torus parameter"),
+        ({"generator": "star_matching", "k": 2, "d": 3, "n": 8}, "/graph/n is not a star_matching parameter"),
+        ({"file": "g.json", "generator": "ring"}, "/graph/generator cannot be given with /graph/file"),
+        ({"file": "g.json", "n": 6}, "/graph/n cannot be given with /graph/file"),
+    ],
+)
+def test_config_graph_rejects_keys_its_source_ignores(tmp_path, capsys, graph, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_config(tmp_path, graph=graph)))
+    with pytest.raises(ValidationError, match=message):
+        load_config(str(path))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "t.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_config_missing_graph_file_names_path(tmp_path):
     cfg = make_config(tmp_path, graph={"file": str(tmp_path / "nope.json")})
     path = tmp_path / "cfg.json"
@@ -495,9 +514,13 @@ def test_run_from_config(tmp_path):
         ("game", "k", {"game": "pgg", "c": "1/2"}),
         ("dynamics", "init", {"policy": "random", "seed": 4}),
         ("graph", "file", {"generator": "ring", "n": 6}),
+        ("graph", "d", {"generator": "ring", "n": 6}),
+        ("graph", "generator", {"file": "g.json"}),
     ],
 )
-def test_null_config_value_equals_leaving_the_key_out(tmp_path, section, key, without):
+def test_null_config_value_equals_leaving_the_key_out(tmp_path, monkeypatch, section, key, without):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "--graph", "ring", "--n", "6", "--out", "g.json") == 0
     outs = []
     for label, fields in (("without", without), ("null", {**without, key: None})):
         path, csv, prof = (tmp_path / f"{label}.{ext}" for ext in ("json", "csv", "prof.json"))
@@ -735,6 +758,7 @@ PROBED_CONFIGS = [
     {"graph": RING6, "game": PGG, "dynamics": {"max_rounds": -1}},
     {"graph": RING6, "game": PGG, "dynamics": {"init": "0,1,0,1,0,1"}},
     {"graph": RING6, "game": PGG, "dynamics": {"init": [0.0, 1, 0, 1, 0, 1]}},
+    {"graph": {**RING6, "d": 3}, "game": PGG, "dynamics": {}},
 ]
 GAMES = [["--game", "minority"], ["--game", "pgg", "--c", "1/2"], ["--game", "coloring", "--k", "3"]]
 PROBED_CASES = (

@@ -609,18 +609,58 @@ def test_girth_matches_exhaustive_on_random_graphs_up_to_8():
         assert girth(net) == exhaustive_girth(net)
 
 
-def networkx_girth(net: Network):
+def networkx_graph(net: Network):
     nx = pytest.importorskip("networkx")
     graph = nx.Graph()
     graph.add_nodes_from(range(net.node_count))
     graph.add_edges_from(net.edges())
-    g = nx.girth(graph)
+    return graph
+
+
+def networkx_girth(net: Network):
+    nx = pytest.importorskip("networkx")
+    g = nx.girth(networkx_graph(net))
     return None if g == inf else g
 
 
 def test_girth_matches_networkx_on_atlas(atlas6):
     for net in atlas6:
         assert girth(net) == networkx_girth(net)
+
+
+# A square, a path and two isolated nodes; then a triangle beside a square.
+DISCONNECTED = [
+    Network.from_edges(9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6)]),
+    Network.from_edges(9, [(0, 1), (1, 2), (2, 3), (0, 3), (5, 6), (6, 7), (5, 7)]),
+]
+
+
+def test_two_coloring_matches_networkx(atlas6):
+    nx = pytest.importorskip("networkx")
+    for net in [*atlas6, *DISCONNECTED]:
+        sides = two_coloring(net)
+        assert (sides is None) == (not nx.is_bipartite(networkx_graph(net)))
+        if sides is not None:
+            side_a, side_b = sides
+            assert side_a | side_b == set(range(net.node_count)) and not side_a & side_b
+            assert all((u in side_a) != (v in side_a) for u, v in net.edges())
+
+
+def test_on_short_cycle_matches_networkx(atlas6):
+    nx = pytest.importorskip("networkx")
+    for net in [*atlas6, *DISCONNECTED]:
+        adjacency = [list(nbrs) for nbrs in net.adjacency]
+        for u, v in net.edges():
+            graph = networkx_graph(net)
+            graph.remove_edge(u, v)
+            try:
+                dist = nx.shortest_path_length(graph, u, v)
+            except nx.NetworkXNoPath:
+                dist = inf
+            for a, b in ((u, v), (v, u)):
+                for limit in range(1, 6):
+                    assert network._on_short_cycle(adjacency, a, b, limit) == (dist <= limit)
+                    assert adjacency == [list(nbrs) for nbrs in net.adjacency]
 
 
 def test_shortest_cycle_matches_reference_and_networkx():

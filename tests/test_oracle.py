@@ -66,6 +66,16 @@ def test_enumerate_coloring_single_edge():
     assert report.poa == 1
 
 
+def test_enumerate_ne_lists_every_profile_of_an_all_negative_game():
+    # Every profile is an equilibrium of welfare -5, so the equilibrium
+    # search must start below the least welfare, not at 0 or -rest.
+    game = replace(minority_game(ring(5)), utility_fn=lambda v, own, nbrs: Fraction(-1))
+    report = enumerate_ne(game)
+    assert report.equilibria == tuple(itertools.product(range(2), repeat=5))
+    assert report.best_welfare == report.worst_ne_welfare == report.best_ne_welfare == -5
+    assert report.poa == 1
+
+
 def forbid_profile_updates(monkeypatch):
     """Make `BestResponseEngine.move` and `reset` fail, so that `enumerate_ne`
     can read nothing but the payoff table that `entry` fills."""
