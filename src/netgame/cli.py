@@ -283,8 +283,12 @@ def _generate(name: str, values: dict, seed: int, prefix: str):
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.cut_girth is None and args.constraint != "unconstrained":
         raise ValidationError(f"--constraint {args.constraint} needs --cut-girth")
+    name = args.graph.replace("-", "_")
+    for key in ("n", "d", "k"):
+        if getattr(args, key) is not None and key not in _GENERATORS[name][0]:
+            raise ValidationError(f"--{key} is not a {args.graph} parameter")
     seed = args.seed if args.seed is not None else 0
-    net, leaf_edges, params = _generate(args.graph.replace("-", "_"), vars(args), seed, "--")
+    net, leaf_edges, params = _generate(name, vars(args), seed, "--")
 
     if args.cut_girth is not None:
         if args.constraint == "leaf-edges":

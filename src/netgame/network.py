@@ -26,9 +26,10 @@ Edge = tuple[int, int]
 class Network:
     """Simple undirected graph with per-node sorted adjacency lists.
 
-    The constructor is the one structural check every graph passes: each
-    neighbor of ``v`` is a node other than ``v`` that lists ``v`` back, and
-    each adjacency list is strictly increasing, so no neighbor repeats.
+    The constructor checks the structure: each neighbor of ``v`` is a node
+    other than ``v`` that lists ``v`` back, and each adjacency list is
+    strictly increasing, so no neighbor repeats. Every graph passes it but
+    one read from a strictly increasing edge list (see `_proved`).
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -52,6 +53,16 @@ class Network:
                 prev = u
 
     @classmethod
+    def _proved(cls, adjacency: tuple[tuple[int, ...], ...]) -> "Network":
+        """The network on ``adjacency`` without the constructor's check. Its
+        one caller, `graph_from_json`, proves from a strictly increasing list
+        of node pairs ``u < v``, each appended to both lists, that every list
+        is symmetric, strictly increasing and free of its own node."""
+        net = object.__new__(cls)
+        object.__setattr__(net, "adjacency", adjacency)
+        return net
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Network":
         """Build a network on ``n`` nodes from an iterable of edges.
 
@@ -73,11 +84,11 @@ class Network:
 
     @cached_property
     def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self.adjacency), default=0)
+        return max(map(len, self.adjacency), default=0)
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -593,10 +604,10 @@ def graph_from_json(obj: dict) -> Network:
 
     One walk over ``edges`` checks each entry (a pair of ints ``u < v``, both
     nodes) and appends it to both neighbor lists, so each fault is reported
-    at its position in the list. A lexicographically sorted edge list, as
-    every file `graph_to_json` writes, appends to each list in increasing
-    order, so the lists are sorted only if some entry is smaller than the
-    one before it. The `Network` constructor then rejects duplicate edges.
+    at its position in the list. If each entry is greater than the one before
+    it, as in every file `graph_to_json` writes, the walk proves what the
+    `Network` constructor checks; any other list has its neighbor lists
+    sorted and passes the constructor, which rejects a duplicate edge.
     """
     if not isinstance(obj, dict):
         raise ValidationError("graph JSON must be an object")
@@ -609,7 +620,7 @@ def graph_from_json(obj: dict) -> Network:
     if not isinstance(obj["edges"], list):
         raise ValidationError("graph JSON field 'edges' must be a list of pairs")
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    unsorted = False
+    increasing = True
     prev: list = []
     for item in obj["edges"]:
         if not (isinstance(item, list) and len(item) == 2):
@@ -621,15 +632,15 @@ def graph_from_json(obj: dict) -> Network:
             raise ValidationError(f"edge {item} must be listed with u < v")
         if u < 0 or v >= n:
             raise ValidationError(f"edge {u}-{v} out of range for n={n}")
-        if item < prev:
-            unsorted = True
+        if not prev < item:
+            increasing = False
         prev = item
         nbrs[u].append(v)
         nbrs[v].append(u)
-    if unsorted:
+    if not increasing:
         for a in nbrs:
             a.sort()
-    net = Network(tuple(map(tuple, nbrs)))
+    net = (Network._proved if increasing else Network)(tuple(map(tuple, nbrs)))
     if type(obj["max_degree"]) is not int or net.max_degree != obj["max_degree"]:
         raise ValidationError(
             f"declared max_degree {obj['max_degree']} != actual {net.max_degree}"

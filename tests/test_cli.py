@@ -29,6 +29,9 @@ def test_gen_torus(tmp_path):
     assert len(obj["edges"]) == 72
     assert obj["max_degree"] == 4
     assert obj["meta"]["generator"] == "torus"
+    # --seed is open to every generator, as /graph/seed is.
+    assert run_cli("gen", "--graph", "torus", "--n", "6", "--seed", "3", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["edges"] == obj["edges"]
 
 
 def test_gen_with_transforms(tmp_path):
@@ -151,6 +154,12 @@ def test_simgame_negative_orders_exits_1(tmp_path, capsys):
          "--c must be a rational 'p/q', got nothing"),
         (["poa", "--family", "pgg-instance", "--d", "3", "--k", "2", "--c", "half"],
          "--c must be a rational 'p/q', got 'half'"),
+        (["gen", "--graph", "ring", "--n", "5", "--d", "3", "--k", "7"], "--d is not a ring parameter"),
+        (["gen", "--graph", "torus", "--n", "4", "--k", "3"], "--k is not a torus parameter"),
+        (["gen", "--graph", "random-regular", "--n", "10", "--d", "3", "--k", "2", "--seed", "1"],
+         "--k is not a random-regular parameter"),
+        (["gen", "--graph", "star-matching", "--n", "8", "--d", "3", "--k", "2"],
+         "--n is not a star-matching parameter"),
     ],
 )
 def test_flag_faults_exit_1(tmp_path, capsys, argv, message):
@@ -760,6 +769,11 @@ PROBED_CONFIGS = [
     {"graph": RING6, "game": PGG, "dynamics": {"init": [0.0, 1, 0, 1, 0, 1]}},
     {"graph": {**RING6, "d": 3}, "game": PGG, "dynamics": {}},
 ]
+PROBED_GEN_FLAGS = [  # flags a generator does not take, beside its own
+    ["ring", "--n", "5", "--d", "3", "--k", "7"], ["torus", "--n", "4", "--d", "0"],
+    ["random-regular", "--n", "10", "--d", "3", "--k", "-1"], ["star-matching", "--n", "x", "--k", "2", "--d", "3"],
+    ["star-matching", "--n", "0", "--k", "2", "--d", "3"], ["ring", "--d", "3"],
+]
 GAMES = [["--game", "minority"], ["--game", "pgg", "--c", "1/2"], ["--game", "coloring", "--k", "3"]]
 PROBED_CASES = (
     [(["verify", *game, "--graph-file", "{g}", "--profile", "{p}", "--out", "{out}"], profile, None)
@@ -770,6 +784,7 @@ PROBED_CASES = (
     + [([arg.replace("{x}", c) for arg in argv], None, None)
        for argv in PROBED_COSTS for c in ("x", "1/0", "-1/2", "2")]
     + [(["run", "--config", "{cfg}", "--out", "{out}"], None, config) for config in PROBED_CONFIGS]
+    + [(["gen", "--graph", *flags, "--out", "{out}"], None, None) for flags in PROBED_GEN_FLAGS]
 )
 
 

@@ -839,6 +839,12 @@ def _duplicate(obj, rng):
         _insert(obj, rng, copy.copy(rng.choice(obj["edges"])))
 
 
+def _repeated(obj, rng):
+    if obj["edges"]:  # next to its twin, so a sorted list stays sorted
+        i = rng.randrange(len(obj["edges"]))
+        obj["edges"].insert(i, copy.copy(obj["edges"][i]))
+
+
 def _reversed(obj, rng):
     u, v = rng.sample(range(obj["n"]), 2)
     _insert(obj, rng, [max(u, v), min(u, v)])
@@ -854,6 +860,7 @@ class Pair(list):
 GRAPH_FAULTS = [
     _out_of_range,
     _duplicate,
+    _repeated,
     _reversed,
     lambda obj, rng: _insert(obj, rng, [rng.randrange(obj["n"])] * 2),
     lambda obj, rng: _insert(obj, rng, rng.choice(MALFORMED_EDGES)),
@@ -888,7 +895,9 @@ def test_graph_from_json_matches_three_stage_validation():
         edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
         obj = graph_to_json(Network.from_edges(n, edges))
         pair = draw(st.sampled_from([list, Pair]))
-        obj["edges"] = [pair(e) for e in edges]  # the drawn order, not sorted
+        if draw(st.booleans()):  # sorted, as `graph_to_json` writes, or the drawn order
+            edges = sorted(edges)
+        obj["edges"] = [pair(e) for e in edges]
         rng = Random(draw(st.integers(0, 2**32)))
         applied = 0
         for fault in draw(st.lists(st.sampled_from(GRAPH_FAULTS), max_size=3)):
@@ -913,6 +922,8 @@ def test_graph_from_json_matches_three_stage_validation():
             assert got == want
         else:  # with several faults, either may be named first
             assert got == want or (isinstance(got, str) and isinstance(want, str))
+        if isinstance(got, Network):  # built with or without the check, it passes it
+            assert got == Network(got.adjacency)
 
     check()
 
@@ -939,6 +950,37 @@ def test_graph_from_json_sorts_only_an_unsorted_edge_list():
         with pytest.raises(ValidationError) as exc:
             reference_graph_from_json(obj)
         assert str(exc.value) == f"duplicate edge {u}-{v}"
+
+
+def test_graph_from_json_runs_the_constructor_check_only_off_a_strictly_increasing_list(monkeypatch):
+    cut = cut_short_cycles(random_regular(40, 3, seed=1), 5, CycleCutConstraint.unconstrained())
+    files = [
+        graph_to_json(net)
+        for net in (ring(9), torus(4), random_regular(30, 3, seed=4), star_matching(4, 3, 1)[0],
+                    power_graph(ring(12), 2), bipartite_double_cover(torus(3)), cut)
+    ]
+    checks = []
+    check = Network.__post_init__
+
+    def counted(net):
+        checks.append(net)
+        check(net)
+
+    monkeypatch.setattr(Network, "__post_init__", counted)
+    for obj in files:
+        net = reference_graph_from_json(obj)
+        shuffled = dict(obj, edges=list(obj["edges"]))
+        Random(3).shuffle(shuffled["edges"])
+        u, v = obj["edges"][len(obj["edges"]) // 2]
+        repeated = dict(obj, edges=sorted([*obj["edges"], [u, v]]))
+        for case, count in ((obj, 0), (shuffled, 1), (repeated, 1)):
+            checks.clear()
+            if case is repeated:
+                with pytest.raises(ValidationError, match=f"^duplicate edge {u}-{v}$"):
+                    graph_from_json(case)
+            else:
+                assert graph_from_json(case) == net
+            assert len(checks) == count
 
 
 def test_graph_from_json_names_the_first_fault_in_list_order():
