@@ -191,8 +191,8 @@ def _build_run(config: dict) -> tuple:
     """Validate ``config`` and build the arguments of `dynamics.run`: the
     game (on the network, built once), the initial profile, the schedule
     policy and the round cap; and ``config`` without null values, with
-    every seed and dynamics field filled in (``max_rounds`` None is the
-    default cap)."""
+    every seed a generator uses and every dynamics field filled in
+    (``max_rounds`` None is the default cap)."""
     net, graph = _config_network(config["graph"])
     g = game_mod.game_from_descriptor(config["game"], net, "/game/")
     dyn = _present(config["dynamics"])
@@ -228,8 +228,9 @@ def _present(section: dict) -> dict:
 
 def _config_network(graph: dict) -> tuple[network.Network, dict]:
     """The network of a config's graph section, and the section without null
-    values and with the generator seed filled in. A file stands alone; a
-    generator takes its own parameters and ``seed``, which all share."""
+    values, with the generator seed filled in, or left out for a generator
+    that ignores it. A file stands alone; a generator takes its own
+    parameters and ``seed``, which all accept."""
     graph = _present(graph)
     if "file" in graph:
         for key in graph:
@@ -241,7 +242,10 @@ def _config_network(graph: dict) -> tuple[network.Network, dict]:
         if key not in ("generator", "seed", *_GENERATORS[gen][0]):
             raise ValidationError(f"/graph/{key} is not a {gen} parameter")
     seed = game_mod.typed_field(graph, "seed", int, "/graph/", 0)
-    return _generate(gen, graph, seed, "/graph/")[0], {**graph, "seed": seed}
+    net = _generate(gen, graph, seed, "/graph/")[0]
+    if gen in _SEEDLESS:
+        return net, {key: value for key, value in graph.items() if key != "seed"}
+    return net, {**graph, "seed": seed}
 
 
 def _star_matching(params: dict, seed: int):
@@ -261,6 +265,7 @@ _GENERATORS = {
     ),
     "star_matching": (("k", "d"), _star_matching),
 }
+_SEEDLESS = ("ring", "torus")  # generators whose builder ignores the seed
 
 
 def _generate(name: str, values: dict, seed: int, prefix: str):

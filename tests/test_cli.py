@@ -511,10 +511,35 @@ def test_run_from_config(tmp_path):
     traj, prof = tmp_path / "traj.csv", tmp_path / "prof.json"
     assert run_cli("run", "--config", str(path), "--out", str(traj), "--profile-out", str(prof)) == 0
     assert traj.read_text().startswith("round,welfare_num")
-    # The generator seed and the round cap take their defaults.
+    # The round cap takes its default; ring ignores the generator seed, so
+    # the resolved section leaves it out.
     resolved = json.loads(prof.read_text())["meta"]["config"]
-    assert resolved["graph"] == {**cfg["graph"], "seed": 0}
+    assert resolved["graph"] == cfg["graph"]
     assert resolved["dynamics"] == {**cfg["dynamics"], "max_rounds": None}
+
+
+@pytest.mark.parametrize("graph", [{"generator": "ring", "n": 6}, {"generator": "torus", "n": 3},
+                                   {"generator": "random_regular", "n": 8, "d": 3}])
+def test_resolved_config_gives_a_seed_only_to_seeded_generators(tmp_path, graph):
+    # A seed given to ring or torus still loads, and is left out of the
+    # resolved section; random_regular records it, 0 when not given. Feeding
+    # the resolved config back in gives the same run and the same section.
+    seeded = graph["generator"] == "random_regular"
+    runs = []
+    for label, section in (("none", graph), ("given", {**graph, "seed": 3})):
+        cfg = make_config(tmp_path, graph=section)
+        for attempt in ("first", "again"):
+            path, csv, prof = (tmp_path / f"{label}-{attempt}.{ext}" for ext in ("json", "csv", "prof.json"))
+            path.write_text(json.dumps(cfg))
+            argv = ("--config", str(path), "--deterministic", "--out", str(csv), "--profile-out", str(prof))
+            assert run_cli("run", *argv) == 0
+            resolved = json.loads(prof.read_text())["meta"]["config"]
+            want = {**graph, "seed": section.get("seed", 0)} if seeded else graph
+            assert resolved["graph"] == want
+            runs.append(csv.read_bytes())
+            cfg = resolved
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert (runs[0] == runs[2]) is not seeded
 
 
 @pytest.mark.parametrize(

@@ -253,6 +253,21 @@ def test_minority_monotonicity_check_fires_on_bad_utility():
         run(inverted, (0, 1, 0, 1), FixedOrder((0, 1, 2, 3)), max_rounds=3)
 
 
+def test_minority_switch_check_rejects_a_switch_at_a_tie():
+    # A "tie-eager" utility adds 1/2 to action +1, so a node with one
+    # neighbor on each side switches to +1 although the cut stays the same.
+    # Nodes 0-2 keep their actions; node 3 (-1, between +1 and -1) is the
+    # first to switch at a tie, and the check must count a tie as no gain.
+    from dataclasses import replace
+
+    from netgame.errors import SimulationFault
+
+    g = minority_game(ring(6))
+    eager = replace(g, utility_fn=lambda v, own, nbrs: g.utility_fn(v, own, nbrs) + HALF * (own == 1))
+    with pytest.raises(SimulationFault, match="^anti-coordination switch of node 3 failed to add a cut edge$"):
+        run(eager, (0, 1, 1, 0, 0, 1), FixedOrder(tuple(range(6))))
+
+
 def test_producer_structure_check_fires_on_bad_utility():
     # inverted payoffs drive everyone to abstain; the empty producer set
     # fails the round-2 maximality condition

@@ -884,6 +884,28 @@ def test_graph_faults_apply_on_top_of_a_malformed_entry(entry):
                     load(obj)
 
 
+@pytest.mark.parametrize("index", range(len(GRAPH_FAULTS)))
+def test_each_graph_fault_alone_matches_three_stage_validation(index):
+    # Every fault runs alone, so a late entry is not left to the rare draws
+    # that pick it as the only fault. Each one must be rejected on this graph
+    # (every node has an edge, so n - 1 leaves one out of range), with the
+    # reference's message, in sorted and shuffled edge order.
+    base = graph_to_json(random_regular(8, 3, seed=1))
+    for seed in range(12):
+        rng = Random(seed)
+        for pair in (list, Pair):
+            edges = [pair(e) for e in base["edges"]]
+            if seed % 2:
+                rng.shuffle(edges)
+            obj = {**base, "edges": edges}
+            GRAPH_FAULTS[index](obj, rng)
+            with pytest.raises(ValidationError) as want:
+                reference_graph_from_json(obj)
+            with pytest.raises(ValidationError) as got:
+                graph_from_json(obj)
+            assert str(got.value) == str(want.value)
+
+
 def test_graph_from_json_matches_three_stage_validation():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

@@ -375,6 +375,46 @@ def test_frozen_configuration_none_on_a_network_without_nodes():
     assert find_frozen_configuration(Network.from_edges(0, []), 3, 0, 10) is None
 
 
+def test_no_frozen_configuration_below_degree_k():
+    # A node at utility 0 that plays a best response sees all k colors on its
+    # neighbors, so below degree k every fixpoint is proper. Checked on the
+    # search without the degree certificate, which must exhaust its budget.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nets = st.one_of(
+        st.integers(3, 12).map(ring),
+        st.integers(3, 5).map(torus),
+        st.tuples(st.integers(4, 12), st.integers(3, 4), st.integers(0, 99))
+        .filter(lambda a: a[0] * a[1] % 2 == 0 and a[0] > a[1])
+        .map(lambda a: random_regular(*a)),
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(nets, st.integers(1, 3), st.lists(st.integers(0, 1500), min_size=1, max_size=3))
+    def check(net, above, budgets):
+        k = net.max_degree + above
+        for seed in range(3):
+            for budget in budgets:
+                assert reference_frozen_search(net, k, seed, budget) is None
+
+    check()
+
+
+def test_frozen_search_below_degree_k_runs_no_restart(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the degree certificate should answer before any restart")
+
+    monkeypatch.setattr("netgame.oracle.random_profile", refuse)
+    monkeypatch.setattr("netgame.oracle.BestResponseEngine", refuse)
+    for seed in range(3):
+        assert find_frozen_configuration(torus(6), 5, seed, 10**9) is None
+    # The argument checks still come first.
+    with pytest.raises(ValidationError, match=r"^frozen-configuration search needs k >= 2$"):
+        find_frozen_configuration(torus(6), 1, 0, 10**9)
+    with pytest.raises(ValidationError, match=r"^budget must be >= 0, got -1$"):
+        find_frozen_configuration(torus(6), 5, 0, -1)
+
+
 def test_minority_poa_report_flags_convention_gap():
     net = bipartite_double_cover(ring(4))  # 2-regular bipartite n=8
     payload = minority_poa_report(minority_game(net))
