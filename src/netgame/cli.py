@@ -436,7 +436,7 @@ def _cmd_frozen(args: argparse.Namespace) -> int:
 
 def _cmd_local_sim(args: argparse.Namespace) -> int:
     g = _load_game(args)
-    coloring = local_sim.distance_coloring(g.network, 2)
+    coloring = local_sim.distance_coloring(g.network)
     init = game_mod.random_profile(g, Random(derive_seed(args.seed, "init")))
     final, orders = local_sim.simulate_fair_rounds(g, init, coloring, args.rounds)
     payload = coloring.to_json()

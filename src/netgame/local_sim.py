@@ -6,13 +6,13 @@ whole class can play simultaneously and the outcome equals sequential play
 of the class in any internal order. One simulated fair round activates the
 classes ``1..palette`` in turn and therefore costs ``palette`` rounds of
 synchronous message passing; the greedy coloring below keeps the palette
-within ``max_degree**2 + 1`` at radius 2.
+within ``max_degree**2 + 1``.
 
 Two nodes are within distance 2 iff they are adjacent or share a
-neighbor, so at radius 2 a coloring is proper iff every closed
-neighborhood is rainbow (McCormick 1983). The coloring and its check read
-closed neighborhoods there, straight from the adjacency; other radii run
-one truncated BFS per node.
+neighbor, so a coloring is proper iff every closed neighborhood is
+rainbow (McCormick 1983). The coloring and its check read closed
+neighborhoods straight from the adjacency; a truncated BFS per node runs
+only to name a clash.
 
 Every switch runs the game kind's switch check (`BestResponseEngine.switch`)
 and every round its round check, as in `dynamics.run`.
@@ -32,70 +32,63 @@ from .network import Network
 
 @dataclass(frozen=True)
 class DistanceColoring:
-    """Proper coloring at a given radius: any two nodes within graph
-    distance ``radius`` hold distinct colors from ``1..palette_size``."""
+    """Proper distance-2 coloring: any two nodes within graph distance 2
+    hold distinct colors from ``1..palette_size``."""
 
-    radius: int
     colors: tuple[int, ...]
     palette_size: int
 
     def to_json(self) -> dict:
         return {
-            "radius": self.radius,
+            "radius": 2,
             "palette": self.palette_size,
             "colors": list(self.colors),
         }
 
 
-def distance_coloring(net: Network, r: int) -> DistanceColoring:
-    """Greedy proper distance-``r`` coloring over ascending node index.
+def distance_coloring(net: Network) -> DistanceColoring:
+    """Greedy proper distance-2 coloring over ascending node index.
 
-    Each node takes the smallest color unused within distance ``r``. At
-    radius 2 those are the colors of its neighbors and of their neighbors,
-    read from the adjacency; other radii take the truncated BFS ball. At
-    radius 1 this uses at most ``max_degree + 1`` colors, at radius 2 at
-    most ``max_degree**2 + 1``.
+    Each node takes the smallest color unused by its neighbors and by their
+    neighbors, read from the adjacency, so at most ``max_degree**2 + 1``
+    colors are used.
     """
-    if r < 1:
-        raise ValidationError("distance_coloring needs radius >= 1")
     adjacency = net.adjacency
     colors = [0] * net.node_count
     for v in range(net.node_count):
-        if r == 2:  # uncolored nodes, v among them, read as color 0
-            taken = {colors[u] for u in adjacency[v]}
-            for u in adjacency[v]:
-                taken.update([colors[w] for w in adjacency[u]])
-        else:
-            taken = {colors[u] for u, d in net.bfs_distances(v, limit=r).items() if 0 < d}
+        # uncolored nodes, v among them, read as color 0
+        taken = {colors[u] for u in adjacency[v]}
+        for u in adjacency[v]:
+            taken.update([colors[w] for w in adjacency[u]])
         c = 1
         while c in taken:
             c += 1
         colors[v] = c
     palette = max(colors, default=0)
-    return DistanceColoring(radius=r, colors=tuple(colors), palette_size=max(palette, 1))
+    return DistanceColoring(colors=tuple(colors), palette_size=max(palette, 1))
 
 
 def check_coloring(net: Network, coloring: DistanceColoring) -> None:
-    """Raise unless the coloring is proper at its radius for this network.
+    """Raise unless the coloring is a proper distance-2 coloring of this
+    network.
 
-    At radius 2 the coloring is proper iff every closed neighborhood is
-    rainbow, since two nodes are within distance 2 iff they are adjacent
-    or share a neighbor; only when that fails does the BFS scan of the
-    other radii run, to name the first clashing pair ``(v, u)`` and their
-    distance.
+    The coloring is proper iff every closed neighborhood is rainbow, since
+    two nodes are within distance 2 iff they are adjacent or share a
+    neighbor; only when that fails does a truncated BFS per node run, to
+    name the first clashing pair ``(v, u)`` and their distance.
     """
     colors = coloring.colors
     if len(colors) != net.node_count:
         raise ValidationError("coloring length does not match the network")
     if any(c < 1 or c > coloring.palette_size for c in colors):
         raise ValidationError("colors must lie in 1..palette_size")
-    if coloring.radius == 2 and all(
+    if all(
         len({colors[v], *[colors[u] for u in nbrs]}) == len(nbrs) + 1
         for v, nbrs in enumerate(net.adjacency)
     ):
         return
     for v in range(net.node_count):
-        for u, d in net.bfs_distances(v, limit=coloring.radius).items():
+        for u, d in net.bfs_distances(v, limit=2).items():
             if 0 < d and colors[u] == colors[v]:
                 raise ValidationError(
                     f"nodes {v} and {u} at distance {d} share color {colors[v]}"
@@ -121,8 +114,6 @@ def simulate_fair_rounds(
             coloring of the game's network.
         SimulationFault: if a switch or a round breaks a kind invariant.
     """
-    if coloring.radius != 2:
-        raise ValidationError("the schedule needs a distance-2 coloring")
     net = game.network
     check_coloring(net, coloring)
     validate_profile(game, init)

@@ -9,7 +9,9 @@ exponential in the degree and adds nothing.
 ``LvlSpec.accept`` is the public predicate. `verify` gives the same verdict
 at every node without a call per node: it computes every node's key in
 one pass, as `BestResponseEngine.reset` does, and reads the preferred
-response from the compiled spec's engine table.
+response from the compiled spec's engine table. Labels index the one
+action list the engine requires of every node, so `verify` bounds each
+label by its length.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .game import Action, BestResponseEngine, GraphicalGame, Profile
+from .game import BestResponseEngine, GraphicalGame, Profile
 from .network import Network
 
 AcceptPredicate = Callable[[int, int, tuple[int, ...]], bool]
@@ -26,15 +28,13 @@ AcceptPredicate = Callable[[int, int, tuple[int, ...]], bool]
 
 @dataclass(frozen=True)
 class LvlSpec:
-    """Alphabet plus a deterministic accept predicate over labeled stars.
+    """A deterministic accept predicate over labeled stars.
 
     ``accept(center, center_label, neighbor_labels)`` reads only the
-    radius-1 star. ``radius`` is always 1. ``engine`` is the best-response
-    engine behind ``accept``, whose table `verify` reads.
+    radius-1 star; labels index the game's action list. ``engine`` is the
+    best-response engine behind ``accept``, whose table `verify` reads.
     """
 
-    alphabet: tuple[tuple[Action, ...], ...]
-    radius: int
     accept: AcceptPredicate
     engine: BestResponseEngine
 
@@ -56,7 +56,7 @@ def compile_lvl(game: GraphicalGame) -> LvlSpec:
     def accept(v: int, center_label: int, neighbor_labels: tuple[int, ...]) -> bool:
         return engine.entry(v, engine.key_of(neighbor_labels))[1][center_label] == center_label
 
-    return LvlSpec(alphabet=game.actions, radius=1, accept=accept, engine=engine)
+    return LvlSpec(accept=accept, engine=engine)
 
 
 def verify(spec: LvlSpec, net: Network, labels: Profile) -> Verdict:
@@ -70,8 +70,9 @@ def verify(spec: LvlSpec, net: Network, labels: Profile) -> Verdict:
         raise ValidationError(
             f"labeling has {len(labels)} entries for {net.node_count} nodes"
         )
+    k = len(engine.acts)
     for v, lab in enumerate(labels):
-        if type(lab) is not int or not 0 <= lab < len(spec.alphabet[v]):
+        if type(lab) is not int or not 0 <= lab < k:
             raise ValidationError(f"label {lab!r} invalid for node {v}")
     table, entry = engine.table, engine.entry
     violations = [v for v, (key, lab) in enumerate(zip(engine.keys(labels), labels))

@@ -384,7 +384,7 @@ def _path_to_root(x: int, parent: dict[int, int]) -> list[int]:
 
 def cut_short_cycles(
     net: Network,
-    g: int | str,
+    g: int,
     constraint: CycleCutConstraint | None = None,
 ) -> Network:
     """Raise the girth to at least ``g`` by degree-preserving edge swaps.
@@ -413,9 +413,7 @@ def cut_short_cycles(
     not. The graph is held as mutable sorted neighbor lists, and one
     `Network` is built at the end.
 
-    ``g = "auto"`` targets the largest ``k`` with ``d**k <= n`` for degree
-    ``d`` (at least 3). ``g`` is the only option; the procedure is
-    deterministic.
+    ``g`` must be an integer of at least 3; the procedure is deterministic.
 
     Raises:
         ConstructionError: if no eligible far edge exists at some step
@@ -423,15 +421,8 @@ def cut_short_cycles(
     """
     if constraint is None:
         constraint = CycleCutConstraint.unconstrained()
-    if g == "auto":
-        d = net.max_degree
-        if d < 2 or net.node_count < 2:
-            raise ValidationError("girth target 'auto' needs max degree >= 2")
-        g = 3
-        while d ** (g + 1) <= net.node_count:
-            g += 1
     if not isinstance(g, int) or g < 3:
-        raise ValidationError("girth target must be an integer >= 3 or 'auto'")
+        raise ValidationError("girth target must be an integer >= 3")
 
     if constraint.sides is not None:
         side_a, side_b = constraint.sides

@@ -399,8 +399,6 @@ def find_frozen_configuration(
         raise ValidationError(f"budget must be >= 0, got {budget}")
     game = coloring_game(net, k)
     n = net.node_count
-    if n == 0:  # each sweep would be charged nothing, and nothing is frozen
-        return None
     if net.max_degree < k:  # no node can see all k colors: nothing is frozen
         return None
     engine = BestResponseEngine(game)

@@ -248,7 +248,7 @@ def test_criterion_07_schedule_simulation_equals_sequential_play():
             minority_game(net),
             coloring_game(net, net.max_degree + 1),
         ][trial % 3]
-        coloring = distance_coloring(net, 2)
+        coloring = distance_coloring(net)
         assert coloring.palette_size <= net.max_degree**2 + 1
         init = random_profile(game, Random(trial))
         final, orders = simulate_fair_rounds(game, init, coloring, 2)

@@ -138,7 +138,7 @@ def test_verify_matches_per_node_deviation_check(case):
 @hypothesis.given(cases(), st.integers(0, 3))
 def test_simulate_fair_rounds_matches_sequential_replay(case, rounds):
     game, profile, _ = case
-    final, orders = simulate_fair_rounds(game, profile, distance_coloring(game.network, 2), rounds)
+    final, orders = simulate_fair_rounds(game, profile, distance_coloring(game.network), rounds)
     for order in orders:
         profile, _ = reference_round(game, profile, order)
     assert final == profile

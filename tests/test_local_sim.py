@@ -20,22 +20,14 @@ HALF = Fraction(1, 2)
 
 
 def test_greedy_trace_on_ring6():
-    col = distance_coloring(ring(6), 2)
+    col = distance_coloring(ring(6))
     assert col.colors == (1, 2, 3, 1, 2, 3)
     assert col.palette_size <= 5
 
 
-def test_radius1_palette_bound():
-    for seed in range(5):
-        net = random_regular(30, 4, seed=seed)
-        col = distance_coloring(net, 1)
-        check_coloring(net, col)
-        assert col.palette_size <= net.max_degree + 1
-
-
 def test_radius2_palette_bound_on_torus():
     net = torus(4)
-    col = distance_coloring(net, 2)
+    col = distance_coloring(net)
     check_coloring(net, col)
     assert col.palette_size <= net.max_degree**2 + 1  # 17
 
@@ -43,23 +35,15 @@ def test_radius2_palette_bound_on_torus():
 def test_improper_coloring_rejected():
     net = ring(6)
     g = pgg_game(net, HALF)
-    bad = DistanceColoring(radius=2, colors=(1, 1, 2, 3, 2, 3), palette_size=3)
+    bad = DistanceColoring(colors=(1, 1, 2, 3, 2, 3), palette_size=3)
     with pytest.raises(ValidationError):
         simulate_fair_rounds(g, (0,) * 6, bad, 1)
-
-
-def test_radius1_coloring_rejected_as_schedule():
-    net = ring(6)
-    g = pgg_game(net, HALF)
-    col = distance_coloring(net, 1)
-    with pytest.raises(ValidationError):
-        simulate_fair_rounds(g, (0,) * 6, col, 1)
 
 
 def test_zero_rounds_is_identity():
     net = ring(8)
     g = minority_game(net)
-    col = distance_coloring(net, 2)
+    col = distance_coloring(net)
     init = (0, 1) * 4
     final, orders = simulate_fair_rounds(g, init, col, 0)
     assert final == init and orders == []
@@ -72,7 +56,7 @@ def test_final_profile_matches_sequential_replay():
         net = random_regular(n, 3, seed=trial)
         g = [pgg_game(net, HALF), minority_game(net), coloring_game(net, 4)][trial % 3]
         init = random_profile(g, Random(trial))
-        col = distance_coloring(net, 2)
+        col = distance_coloring(net)
         final, orders = simulate_fair_rounds(g, init, col, 3)
         replay = init
         for order in orders:
@@ -86,20 +70,20 @@ def test_replay_runs_the_switch_check():
     g = minority_game(ring(6))
     inverted = replace(g, utility_fn=lambda v, own, nbrs: -g.utility_fn(v, own, nbrs))
     with pytest.raises(SimulationFault, match="switch of node 0 failed to add a cut edge"):
-        simulate_fair_rounds(inverted, (0, 1) * 3, distance_coloring(ring(6), 2), 1)
+        simulate_fair_rounds(inverted, (0, 1) * 3, distance_coloring(ring(6)), 1)
 
 
 def test_replay_runs_the_round_check():
     # A utility that always prefers producing: every node produces in round 1.
     eager = replace(pgg_game(ring(6), HALF), utility_fn=lambda v, own, nbrs: Fraction(own == "P"))
     with pytest.raises(SimulationFault, match="not independent after round 1: nodes 0 and 1 produce"):
-        simulate_fair_rounds(eager, (0,) * 6, distance_coloring(ring(6), 2), 2)
+        simulate_fair_rounds(eager, (0,) * 6, distance_coloring(ring(6)), 2)
 
 
 def test_each_node_acts_once_per_round():
     net = torus(3)
     g = coloring_game(net, 5)
-    col = distance_coloring(net, 2)
+    col = distance_coloring(net)
     _, orders = simulate_fair_rounds(g, (0,) * 9, col, 2)
     for order in orders:
         assert sorted(order) == list(range(9))
@@ -108,7 +92,7 @@ def test_each_node_acts_once_per_round():
 def test_intra_class_order_irrelevant():
     net = random_regular(24, 3, seed=9)
     g = minority_game(net)
-    col = distance_coloring(net, 2)
+    col = distance_coloring(net)
     init = random_profile(g, Random(0))
     final, _ = simulate_fair_rounds(g, init, col, 1)
 
@@ -126,9 +110,7 @@ def test_intra_class_order_irrelevant():
         assert profile == final
 
 
-# Test-only references: one truncated BFS per node at every radius, as
-# `distance_coloring` and `check_coloring` did before radius 2 read closed
-# neighborhoods.
+# Test-only references: one truncated BFS per node at radius ``r``.
 def reference_distance_coloring(net, r):
     colors = [0] * net.node_count
     for v in range(net.node_count):
@@ -137,16 +119,16 @@ def reference_distance_coloring(net, r):
         while c in taken:
             c += 1
         colors[v] = c
-    return DistanceColoring(radius=r, colors=tuple(colors), palette_size=max(max(colors, default=0), 1))
+    return DistanceColoring(colors=tuple(colors), palette_size=max(max(colors, default=0), 1))
 
 
-def reference_check_coloring(net, coloring):
+def reference_check_coloring(net, coloring, r):
     if len(coloring.colors) != net.node_count:
         raise ValidationError("coloring length does not match the network")
     if any(c < 1 or c > coloring.palette_size for c in coloring.colors):
         raise ValidationError("colors must lie in 1..palette_size")
     for v in range(net.node_count):
-        for u, d in _ball(net.adjacency, (v,), coloring.radius).items():
+        for u, d in _ball(net.adjacency, (v,), r).items():
             if 0 < d and coloring.colors[u] == coloring.colors[v]:
                 raise ValidationError(
                     f"nodes {v} and {u} at distance {d} share color {coloring.colors[v]}"
@@ -178,9 +160,9 @@ def colored_networks(st):
     return networks()
 
 
-def check_outcome(check, net, coloring):
+def check_outcome(check, net, coloring, *radius):
     try:
-        check(net, coloring)
+        check(net, coloring, *radius)
     except ValidationError as exc:
         return str(exc)
     return None
@@ -191,10 +173,10 @@ def test_distance_coloring_matches_bfs_reference():
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(colored_networks(st), st.integers(1, 3))
-    def check(net, r):
-        coloring = distance_coloring(net, r)
-        assert coloring == reference_distance_coloring(net, r)
+    @hypothesis.given(colored_networks(st))
+    def check(net):
+        coloring = distance_coloring(net)
+        assert coloring == reference_distance_coloring(net, 2)
         assert check_outcome(check_coloring, net, coloring) is None
 
     check()
@@ -204,19 +186,20 @@ def test_check_coloring_names_the_bfs_reference_clash():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    # A proper coloring at radius r, checked at radius ``radius`` after up to
-    # three nodes take the color of a node within that radius.
+    # A proper coloring at radius r (at r = 1, one with many radius-2
+    # clashes), checked at radius 2 after up to three nodes take the color of
+    # a node within distance 2.
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(colored_networks(st), st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
-    def check(net, r, radius, rng):
-        colors = list(distance_coloring(net, r).colors)
+    @hypothesis.given(colored_networks(st), st.integers(1, 3), st.randoms(use_true_random=False))
+    def check(net, r, rng):
+        colors = list(reference_distance_coloring(net, r).colors)
         for _ in range(rng.randrange(4) if colors else 0):
             v = rng.randrange(len(colors))
-            near = sorted(u for u in _ball(net.adjacency, (v,), radius) if u != v)
+            near = sorted(u for u in _ball(net.adjacency, (v,), 2) if u != v)
             if near:
                 colors[v] = colors[rng.choice(near)]
-        coloring = DistanceColoring(radius=radius, colors=tuple(colors), palette_size=max(colors, default=1))
-        want = check_outcome(reference_check_coloring, net, coloring)
+        coloring = DistanceColoring(colors=tuple(colors), palette_size=max(colors, default=1))
+        want = check_outcome(reference_check_coloring, net, coloring, 2)
         assert check_outcome(check_coloring, net, coloring) == want
 
     check()

@@ -88,6 +88,8 @@ def test_verify_rejects_shape_mismatch():
         verify(spec, net, (0, 1))
     with pytest.raises(ValidationError, match=r"^label 7 invalid for node 2$"):
         verify(spec, net, (0, 1, 7))
+    with pytest.raises(ValidationError, match=r"^label 2 invalid for node 1$"):
+        verify(spec, net, (0, 2, 1))  # pgg has two actions
     with pytest.raises(ValidationError, match=r"^label True invalid for node 0$"):
         verify(spec, net, (True, 1, 0))
 

@@ -337,23 +337,24 @@ def test_cut_short_cycles_leaf_edges_keep_domination():
 def test_cut_short_cycles_impossible_target_errors():
     with pytest.raises(ConstructionError):
         cut_short_cycles(ring(6), 10)
+    for g in (2, "auto"):
+        with pytest.raises(ValidationError, match=r"^girth target must be an integer >= 3$"):
+            cut_short_cycles(ring(6), g)
 
 
-def test_cut_short_cycles_auto_girth_target():
+def test_cut_short_cycles_to_girth_4():
     net = random_regular(82, 3, seed=12)
-    out = cut_short_cycles(net, "auto")
-    # 3**4 <= 82 < 3**5
+    out = cut_short_cycles(net, 4)
     assert girth(out) >= 4
     assert degree_multiset(out) == degree_multiset(net)
     assert edge_digest(out) == "ade48da29c9103f0"
 
 
-def test_cut_short_cycles_auto_target_at_an_exact_power():
-    # 3**5 == 243, so the target is 5; log(243) / log(3) is just below 5 in
-    # floating point, which would give 4 and leave the 4-cycle 0-1-2-3 uncut.
+def test_cut_short_cycles_cuts_a_chord_4_cycle():
+    # The chord closes the 4-cycle 0-1-2-3 on a ring.
     net = Network.from_edges(243, ring(243).edges() + [(0, 3)])
     assert girth(net) == 4
-    out = cut_short_cycles(net, "auto")
+    out = cut_short_cycles(net, 5)
     assert girth(out) >= 5
     assert degree_multiset(out) == degree_multiset(net)
 

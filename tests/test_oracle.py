@@ -371,7 +371,7 @@ def test_frozen_configuration_rejects_negative_budget():
 
 
 def test_frozen_configuration_none_on_a_network_without_nodes():
-    # Each sweep is charged n = 0 steps, so without the check restarts repeat forever.
+    # Each sweep would be charged n = 0 steps; max degree 0 < k answers first.
     assert find_frozen_configuration(Network.from_edges(0, []), 3, 0, 10) is None
 
 
@@ -408,6 +408,7 @@ def test_frozen_search_below_degree_k_runs_no_restart(monkeypatch):
     monkeypatch.setattr("netgame.oracle.BestResponseEngine", refuse)
     for seed in range(3):
         assert find_frozen_configuration(torus(6), 5, seed, 10**9) is None
+        assert find_frozen_configuration(Network.from_edges(0, []), 3, seed, 10**9) is None
     # The argument checks still come first.
     with pytest.raises(ValidationError, match=r"^frozen-configuration search needs k >= 2$"):
         find_frozen_configuration(torus(6), 1, 0, 10**9)
