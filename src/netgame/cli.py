@@ -8,6 +8,11 @@ block, a ``run --config`` the config in place of the run flags it overrides;
 byte-identical files. Rationals cross this boundary as ``"p/q"`` text,
 never as decimals.
 
+Flags meet the checks of a config: ``run``'s flags become a config, the game
+flags of every command are a config's ``game`` section, and ``gen``'s flags a
+``graph`` section (`_generate`), so a flag for a parameter the game or
+generator lacks is rejected with the flag's name.
+
 The argument parser is built once per process (`build_parser` is cached);
 ``parse_args`` keeps no state between calls.
 """
@@ -124,10 +129,9 @@ def _load_graph(path: str) -> network.Network:
 
 
 def _game_descriptor(args: argparse.Namespace) -> dict:
-    """The game descriptor spelled by ``--game``, ``--c`` and ``--k``. The
-    flags are shared, so one for a parameter the game lacks is ignored."""
-    params = game_mod.GAME_KINDS[args.game].param_types if args.game is not None else {}
-    return {"game": args.game, **{key: getattr(args, key) for key in params}}
+    """The game descriptor spelled by ``--game``, ``--c`` and ``--k``; the game
+    rejects a flag for a parameter it lacks, as it rejects a config's key."""
+    return {"game": args.game, "c": args.c, "k": args.k}
 
 
 def _load_game(args: argparse.Namespace) -> game_mod.GraphicalGame:
@@ -164,14 +168,6 @@ def _read_config(path: str) -> dict:
             if key not in allowed:
                 raise ValidationError(f"unknown config key at /{section}/{key}")
     return obj
-
-
-def load_config(path: str) -> dict:
-    """Load and validate an experiment config; unknown keys and mistyped
-    fields are rejected with their JSON-pointer location."""
-    config = _read_config(path)
-    _build_run(config)  # validate eagerly, including guards
-    return config
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
@@ -229,8 +225,8 @@ def _present(section: dict) -> dict:
 def _config_network(graph: dict) -> tuple[network.Network, dict]:
     """The network of a config's graph section, and the section without null
     values, with the generator seed filled in, or left out for a generator
-    that ignores it. A file stands alone; a generator takes its own
-    parameters and ``seed``, which all accept."""
+    that ignores it. A file stands alone; a generator is checked by
+    `_generate`."""
     graph = _present(graph)
     if "file" in graph:
         for key in graph:
@@ -238,14 +234,10 @@ def _config_network(graph: dict) -> tuple[network.Network, dict]:
                 raise ValidationError(f"/graph/{key} cannot be given with /graph/file")
         return _load_graph(game_mod.typed_field(graph, "file", str, "/graph/")), graph
     gen = game_mod.typed_field(graph, "generator", tuple(_GENERATORS), "/graph/")
-    for key in graph:
-        if key not in ("generator", "seed", *_GENERATORS[gen][0]):
-            raise ValidationError(f"/graph/{key} is not a {gen} parameter")
-    seed = game_mod.typed_field(graph, "seed", int, "/graph/", 0)
-    net = _generate(gen, graph, seed, "/graph/")[0]
-    if gen in _SEEDLESS:
-        return net, {key: value for key, value in graph.items() if key != "seed"}
-    return net, {**graph, "seed": seed}
+    net, _, _, seed = _generate(gen, graph, "/graph/", gen)
+    if _GENERATORS[gen][2]:  # the builder reads the seed
+        return net, {**graph, "seed": seed}
+    return net, {key: value for key, value in graph.items() if key != "seed"}
 
 
 def _star_matching(params: dict, seed: int):
@@ -254,31 +246,37 @@ def _star_matching(params: dict, seed: int):
 
 
 # Generator name (the config spelling; the CLI uses hyphens) -> its required
-# integer parameters and a builder returning the network and, for
-# star-matching only, its leaf edges.
+# integer parameters, a builder returning the network and, for
+# star-matching only, its leaf edges, and whether the builder reads the seed.
 _GENERATORS = {
-    "ring": (("n",), lambda p, seed: (network.ring(p["n"]), None)),
-    "torus": (("n",), lambda p, seed: (network.torus(p["n"]), None)),
+    "ring": (("n",), lambda p, seed: (network.ring(p["n"]), None), False),
+    "torus": (("n",), lambda p, seed: (network.torus(p["n"]), None), False),
     "random_regular": (
         ("n", "d"),
         lambda p, seed: (network.random_regular(p["n"], p["d"], seed), None),
+        True,
     ),
-    "star_matching": (("k", "d"), _star_matching),
+    "star_matching": (("k", "d"), _star_matching, True),
 }
-_SEEDLESS = ("ring", "torus")  # generators whose builder ignores the seed
 
 
-def _generate(name: str, values: dict, seed: int, prefix: str):
-    """Build generator ``name`` from the integer parameters in ``values``.
+def _generate(name: str, section: dict, prefix: str, shown: str):
+    """Build generator ``name`` from ``section`` (no null values), which may
+    hold ``generator``, ``seed`` (0 if absent) and the integer parameters
+    of the generator, and nothing else.
 
     Returns the network, the star-matching leaf edges (None for other
-    generators) and the parameters used. Errors name a parameter as
-    ``prefix + key``.
+    generators), the parameters used and the seed. Errors name a key as
+    ``prefix + key`` and the generator as ``shown``.
     """
-    required, build = _GENERATORS[name]
-    params = {key: game_mod.typed_field(values, key, int, prefix) for key in required}
+    required, build, _ = _GENERATORS[name]
+    for key in section:
+        if key not in ("generator", "seed", *required):
+            raise ValidationError(f"{prefix}{key} is not a {shown} parameter")
+    seed = game_mod.typed_field(section, "seed", int, prefix, 0)
+    params = {key: game_mod.typed_field(section, key, int, prefix) for key in required}
     net, leaf_edges = build(params, seed)
-    return net, leaf_edges, params
+    return net, leaf_edges, params, seed
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +286,8 @@ def _generate(name: str, values: dict, seed: int, prefix: str):
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.cut_girth is None and args.constraint != "unconstrained":
         raise ValidationError(f"--constraint {args.constraint} needs --cut-girth")
-    name = args.graph.replace("-", "_")
-    for key in ("n", "d", "k"):
-        if getattr(args, key) is not None and key not in _GENERATORS[name][0]:
-            raise ValidationError(f"--{key} is not a {args.graph} parameter")
-    seed = args.seed if args.seed is not None else 0
-    net, leaf_edges, params = _generate(name, vars(args), seed, "--")
+    section = _present({key: vars(args)[key] for key in ("n", "d", "k", "seed")})
+    net, leaf_edges, params, seed = _generate(args.graph.replace("-", "_"), section, "--", args.graph)
 
     if args.cut_girth is not None:
         if args.constraint == "leaf-edges":
@@ -396,7 +390,7 @@ def _cmd_simgame(args: argparse.Namespace) -> int:
     if args.orders < 0:
         raise ValidationError(f"--orders must be >= 0, got {args.orders}")
     net = network.ring(args.n)
-    base = game_mod.pgg_game(net, game_mod.parse_rational(args.c))
+    base = game_mod.pgg_game(net, game_mod.typed_field(vars(args), "c", Fraction, "--"))
     algo = simgame.greedy_mis_normal_form(net.max_degree)
     sim = simgame.build_simulation_game(base, algo)
     verifier = lvl.compile_lvl(base)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable
 
@@ -128,9 +127,7 @@ class BestResponseEngine:
     `best_response_payoffs`, the payoff numerators over the common
     denominator ``den`` (rescaled by the lcm when needed, never rounded) and
     per own action the preferred response. All nodes share one action list.
-    `reset` and `move` keep ``key``, ``pay`` and ``welfare_num`` current;
-    `keys` reads each node's neighbors through one ``itemgetter`` per node,
-    built with the engine.
+    `reset` and `move` keep ``key``, ``pay`` and ``welfare_num`` current.
     Best-response switches go through `switch`,
     which runs the kind's ``check_switch``; `move` alone is unchecked.
     `enumerate_ne` uses no profile: it fills ``table`` by `entry` and
@@ -145,13 +142,6 @@ class BestResponseEngine:
         self.check_switch = game.kind.check_switch
         self.radix = game.network.max_degree + 1
         self.weight = [self.radix**a for a in range(len(acts))]
-        # ``itemgetter(u)`` returns a scalar and ``itemgetter()`` raises, so a
-        # node of degree 0 or 1 reads its neighbors as a slice.
-        self.getters = [
-            itemgetter(*nbrs) if len(nbrs) > 1
-            else itemgetter(slice(nbrs[0], nbrs[0] + 1) if nbrs else slice(0))
-            for nbrs in self.nbrs
-        ]
         self.table: dict[int, tuple[list[int], tuple[int, ...]]] = {}
         self.den, self.pay, self.welfare_num = 1, [], 0
         if profile is not None:
@@ -175,7 +165,7 @@ class BestResponseEngine:
         """Every node's key under ``profile``."""
         weight = self.weight
         weights = [weight[a] for a in profile]
-        return [sum(get(weights)) for get in self.getters]
+        return [sum(map(weights.__getitem__, nbrs)) for nbrs in self.nbrs]
 
     def entry(self, v: int, key: int) -> tuple[list[int], tuple[int, ...]]:
         """``(payoff numerators, preferred response per own action)`` at ``key``."""

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from netgame import cli
-from netgame.cli import load_config, main
+from netgame.cli import main
 from netgame.errors import ValidationError
 from netgame.game import is_nash_equilibrium, pgg_game
 from netgame.network import graph_from_json
@@ -160,6 +160,8 @@ def test_simgame_negative_orders_exits_1(tmp_path, capsys):
          "--k is not a random-regular parameter"),
         (["gen", "--graph", "star-matching", "--n", "8", "--d", "3", "--k", "2"],
          "--n is not a star-matching parameter"),
+        (["simgame", "--n", "8", "--c", "x"], "--c must be a rational 'p/q', got 'x'"),
+        (["gen", "--graph", "ring", "--seed", "1"], "--n must be an integer, got nothing"),
     ],
 )
 def test_flag_faults_exit_1(tmp_path, capsys, argv, message):
@@ -167,6 +169,39 @@ def test_flag_faults_exit_1(tmp_path, capsys, argv, message):
     assert run_cli(*argv, "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "game_flags, key, game",
+    [
+        (["--game", "pgg", "--c", "1/2", "--k", "3"], "k", "pgg"),
+        (["--game", "minority", "--c", "1/2"], "c", "minority"),
+        (["--game", "coloring", "--k", "3", "--c", "1/2"], "c", "coloring"),
+    ],
+    ids=["pgg-k", "minority-c", "coloring-c"],
+)
+@pytest.mark.parametrize(
+    "argv, out_flag, prefix",
+    [
+        (["run"], "--out", "/game/"),
+        (["verify", "--profile", "p.json"], "--out", "--"),
+        (["ineff", "--T", "2", "--trials", "3"], "--out", "--"),
+        (["local-sim", "--rounds", "2"], "--coloring-out", "--"),
+        (["poa", "--family", "enumerate"], "--out", "--"),
+    ],
+    ids=["run", "verify", "ineff", "local-sim", "poa-enumerate"],
+)
+def test_game_flag_the_game_lacks_is_rejected_as_a_config_key(
+    tmp_path, monkeypatch, capsys, argv, out_flag, prefix, game_flags, key, game
+):
+    # A game flag meets the check of a config's game section: run names the
+    # config pointer it translates the flag to, the other commands the flag.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "--graph", "ring", "--n", "6", "--out", "g.json") == 0
+    Path("p.json").write_text(json.dumps({"profile": [0] * 6}))
+    assert run_cli(*argv, *game_flags, "--graph-file", "g.json", out_flag, "out") == 1
+    assert capsys.readouterr().err == f"error: {prefix}{key} is not a {game} parameter\n"
+    assert not Path("out").exists()
 
 
 def test_ineff_subcommand(tmp_path):
@@ -438,30 +473,25 @@ def make_config(tmp_path, **overrides) -> dict:
     return cfg
 
 
-def test_config_round_trip(tmp_path):
-    cfg = make_config(tmp_path)
-    path = tmp_path / "cfg.json"
+def assert_config_rejected(tmp_path, capsys, cfg, message):
+    """``run --config`` on ``cfg`` exits 1 with the one line ``error: message``
+    and writes no output file."""
+    path, csv, prof = tmp_path / "cfg.json", tmp_path / "t.csv", tmp_path / "p.json"
     path.write_text(json.dumps(cfg))
-    assert load_config(str(path)) == cfg
+    assert run_cli("run", "--config", str(path), "--out", str(csv), "--profile-out", str(prof)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not csv.exists() and not prof.exists()
 
 
-def test_config_rejects_bad_cost(tmp_path):
+def test_config_rejects_bad_cost(tmp_path, capsys):
     cfg = make_config(tmp_path, game={"game": "pgg", "c": "3/2"})
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    with pytest.raises(ValidationError, match="0 < c < 1"):
-        load_config(str(path))
-    code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "t.csv"))
-    assert code == 1
+    assert_config_rejected(tmp_path, capsys, cfg, "production cost must satisfy 0 < c < 1, got 3/2")
 
 
-def test_config_rejects_unknown_keys_with_pointer(tmp_path):
+def test_config_rejects_unknown_keys_with_pointer(tmp_path, capsys):
     cfg = make_config(tmp_path)
     cfg["dynamics"]["mystery"] = 1
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    with pytest.raises(ValidationError, match="/dynamics/mystery"):
-        load_config(str(path))
+    assert_config_rejected(tmp_path, capsys, cfg, "unknown config key at /dynamics/mystery")
 
 
 def test_config_generator_missing_parameter_names_pointer(tmp_path, capsys):
@@ -483,25 +513,17 @@ def test_config_generator_missing_parameter_names_pointer(tmp_path, capsys):
         ({"generator": "star_matching", "k": 2, "d": 3, "n": 8}, "/graph/n is not a star_matching parameter"),
         ({"file": "g.json", "generator": "ring"}, "/graph/generator cannot be given with /graph/file"),
         ({"file": "g.json", "n": 6}, "/graph/n cannot be given with /graph/file"),
+        ({"generator": "random_regular", "n": 10, "d": 3, "k": 2, "seed": 1},
+         "/graph/k is not a random_regular parameter"),
     ],
 )
 def test_config_graph_rejects_keys_its_source_ignores(tmp_path, capsys, graph, message):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(make_config(tmp_path, graph=graph)))
-    with pytest.raises(ValidationError, match=message):
-        load_config(str(path))
-    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "t.csv")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
-    assert len(err.strip().splitlines()) == 1
+    assert_config_rejected(tmp_path, capsys, make_config(tmp_path, graph=graph), message)
 
 
-def test_config_missing_graph_file_names_path(tmp_path):
+def test_config_missing_graph_file_names_path(tmp_path, capsys):
     cfg = make_config(tmp_path, graph={"file": str(tmp_path / "nope.json")})
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    with pytest.raises(ValidationError, match="nope.json"):
-        load_config(str(path))
+    assert_config_rejected(tmp_path, capsys, cfg, f"graph file not found: {tmp_path / 'nope.json'}")
 
 
 def test_run_from_config(tmp_path):
@@ -515,6 +537,7 @@ def test_run_from_config(tmp_path):
     # the resolved section leaves it out.
     resolved = json.loads(prof.read_text())["meta"]["config"]
     assert resolved["graph"] == cfg["graph"]
+    assert resolved["game"] == cfg["game"]
     assert resolved["dynamics"] == {**cfg["dynamics"], "max_rounds": None}
 
 

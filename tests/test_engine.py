@@ -410,9 +410,8 @@ def test_engine_state_matches_a_recount_from_all_zeros(make_game, ops):
     apply_ops_checking_state(engine, ops)
 
 
-# `keys` reads neighbors through one `itemgetter` per node, which needs a
-# fallback at degree 0 (`itemgetter()` raises) and degree 1 (`itemgetter(u)`
-# returns a scalar): graphs with isolated nodes, paths, stars and regular graphs.
+# `keys` sums the weights of each node's neighbors, from none up: graphs with
+# isolated nodes, paths, stars and regular graphs.
 KEY_NETWORKS = {
     "one_node": Network(((),)),
     "isolated_and_edge": Network.from_edges(4, [(1, 3)]),
