@@ -11,7 +11,8 @@ never as decimals.
 Flags meet the checks of a config: ``run``'s flags become a config, the game
 flags of every command are a config's ``game`` section, and ``gen``'s flags a
 ``graph`` section (`_generate`), so a flag for a parameter the game or
-generator lacks is rejected with the flag's name.
+generator lacks is rejected with the flag's name; ``poa`` rejects a flag
+its ``--family`` does not read (`_POA_FLAGS`).
 
 The argument parser is built once per process (`build_parser` is cached);
 ``parse_args`` keeps no state between calls.
@@ -354,7 +355,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# The flags each poa family reads; ``--seed`` and ``--max-listed`` are open to
+# every family, and any other flag given is rejected.
+_POA_FLAGS = {
+    "pgg-instance": ("c", "k", "d"),
+    "minority-instance": ("graph_file",),
+    "enumerate": ("game", "c", "k", "graph_file"),
+}
+
+
 def _cmd_poa(args: argparse.Namespace) -> int:
+    for key in ("game", "c", "k", "d", "graph_file"):
+        if vars(args)[key] is not None and key not in _POA_FLAGS[args.family]:
+            raise ValidationError(f"--{key.replace('_', '-')} is not a {args.family} parameter")
     if args.max_listed < 0:
         raise ValidationError(f"--max-listed must be >= 0, got {args.max_listed}")
     if args.family == "pgg-instance":

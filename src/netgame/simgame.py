@@ -23,17 +23,17 @@ Everything here is computed from per-node views of radius at most
 ``4t + 2``: the derived edges, the ball colorings, and the pairwise
 utility checks all come from bounded-depth breadth-first traversals. Each
 action indexes its coloring by node and by color, so the pairwise utility
-check is linear in the ball. A fair round publishes the played colorings
-as one node-to-color map, which each constructed response reads. The
-opening round's final check tests the merged coloring in place of every
-pair: once every agent has played, every utility is 1 iff the played
-colorings agree on shared nodes and their union is proper at the coloring
-radius.
+check is linear in the ball. The game plays one kind of round, the
+opening round: from the all-empty profile, every agent plays its
+constructed response once, reading the colorings played so far as one
+published node-to-color map. The round is checked once, at its end, by
+testing the merged coloring in place of every pair: once every agent has
+played, every utility is 1 iff the played colorings agree on shared nodes
+and their union is proper at the coloring radius.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -200,11 +200,7 @@ def empty_profile(sim: SimulationGame) -> SimProfile:
 def simulation_utility(sim: SimulationGame, v: int, profile: SimProfile) -> Fraction:
     """1 if ``v``'s coloring is compatible with every played derived
     neighbor and jointly proper at the coloring radius, else 0."""
-    return _utility_of(sim, v, profile[v], profile)
-
-
-def _utility_of(sim: SimulationGame, v: int, action, profile: SimProfile) -> Fraction:
-    """`simulation_utility` of ``v`` playing ``action`` against ``profile``."""
+    action = profile[v]
     if action is None:
         return Fraction(0)
     for u in sim.network_prime.neighbors(v):
@@ -232,12 +228,12 @@ def _pair_consistent(sim: SimulationGame, a: SimulationAction, b: SimulationActi
 
 
 def constructive_best_response(
-    sim: SimulationGame, v: int, profile: SimProfile, published: dict[int, int]
+    sim: SimulationGame, v: int, published: dict[int, int]
 ) -> SimulationAction:
-    """Build a utility-1 action for ``v`` against the played strategies.
+    """Build ``v``'s response to the colorings published so far.
 
     ``published`` is the `merged_coloring` of the played actions other than
-    ``v``'s, as `simulation_fair_round` keeps it. Only nodes within
+    ``v``'s, as `play_simulation_round` keeps it. Only nodes within
     ``3t + 2`` of ``v`` are read, and every agent coloring one of them is a
     derived neighbor of ``v``. Ball nodes already published keep their
     color; the rest are colored in ball order (distance from center, then
@@ -246,13 +242,12 @@ def constructive_best_response(
     distances. The parity split keeps color-descent chains in the merged
     coloring short, which lets the bounded-radius decision rule reproduce
     the global greedy outcome; the palette bound guarantees a free color
-    always exists either way. The result is checked at utility 1 by pair
-    checks against ``profile``, independently of ``published``.
+    always exists either way. The response is not checked here: the
+    opening round checks every agent's utility once, at its end.
 
     Raises:
-        SimulationFault: if the palette runs out or the response does not
-            reach utility 1; both are impossible from fair play starting
-            at the all-empty profile.
+        SimulationFault: if the palette runs out, which is impossible in a
+            round played from the all-empty profile.
     """
     view = sim.balls[v]
     coloring: dict[int, int] = {}
@@ -268,52 +263,32 @@ def constructive_best_response(
         if c > sim.algorithm.palette:
             raise SimulationFault(f"palette exhausted while coloring the ball of {v}")
         coloring[w] = c
-
-    action = make_action(sim, v, coloring)
-    if _utility_of(sim, v, action, profile) != 1:
-        raise SimulationFault(f"constructed response for {v} does not reach utility 1")
-    return action
-
-
-def simulation_fair_round(
-    sim: SimulationGame, profile: SimProfile, order: tuple[int, ...]
-) -> tuple[SimProfile, int]:
-    """One fair round, played on one list updated in place: an agent keeps a
-    utility-1 action, else takes its constructed best response. Returns the
-    new profile and the switch count.
-
-    The round keeps the played colorings published as one node-to-color
-    map, with an owner count per node: a switching agent's old action is
-    withdrawn before its response is built, and the response is published
-    after. The played colorings of ``profile`` seed the map, so they must
-    agree on shared nodes, as they do after any fair play from the
-    all-empty profile; `merged_coloring` raises, naming the node, if not.
-    """
-    if sorted(order) != list(range(sim.network.node_count)):
-        raise ValidationError("order must be a permutation of the agents")
-    published = merged_coloring(sim, profile)
-    owners = Counter(x for action in profile if action is not None for x, _ in action.assignment)
-    current = list(profile)
-    switches = 0
-    for v in order:
-        old = current[v]
-        if old is None or simulation_utility(sim, v, current) != 1:
-            if old is not None:
-                for x, _ in old.assignment:
-                    owners[x] -= 1
-                    if not owners[x]:
-                        del published[x]
-            new = current[v] = constructive_best_response(sim, v, current, published)
-            published.update(new.assignment)  # agrees on every published node
-            owners.update(x for x, _ in new.assignment)
-            switches += 1
-    return tuple(current), switches
+    return make_action(sim, v, coloring)
 
 
 def play_simulation_round(sim: SimulationGame, order: tuple[int, ...]) -> SimProfile:
-    """One fair round from the all-empty profile; every utility ends at 1,
-    as `_check_opening_round` checks from the merged coloring."""
-    profile, _ = simulation_fair_round(sim, empty_profile(sim), order)
+    """The opening round: from the all-empty profile, each agent in
+    ``order`` plays its constructed best response to the colorings
+    published so far, and its coloring is published.
+
+    Nobody withdraws a coloring, so every response agrees with the
+    published map and the map is the `merged_coloring` of the round so
+    far. `_check_opening_round` then certifies every agent at utility 1
+    from the played actions alone, once, at the end of the round.
+
+    Raises:
+        ValidationError: if ``order`` is not a permutation of the agents.
+        SimulationFault: if an agent ends the round below utility 1, or a
+            palette runs out (`constructive_best_response`).
+    """
+    if sorted(order) != list(range(sim.network.node_count)):
+        raise ValidationError("order must be a permutation of the agents")
+    played = list(empty_profile(sim))
+    published: dict[int, int] = {}
+    for v in order:
+        action = played[v] = constructive_best_response(sim, v, published)
+        published.update(action.assignment)
+    profile = tuple(played)
     _check_opening_round(sim, profile)
     return profile
 

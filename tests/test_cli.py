@@ -134,6 +134,29 @@ def test_poa_negative_max_listed_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+POA_FLAGS = {"--game": "minority", "--c": "1/2", "--k": "3", "--d": "3", "--graph-file": "g.json"}
+POA_READS = {
+    "pgg-instance": {"--c", "--k", "--d"},
+    "minority-instance": {"--graph-file"},
+    "enumerate": {"--game", "--c", "--k", "--graph-file"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(POA_READS))
+def test_poa_rejects_the_first_flag_its_family_does_not_read(tmp_path, capsys, family):
+    # every subset of the flags: the first unread one in POA_FLAGS order is named
+    out = tmp_path / "report.json"
+    for r in range(1, len(POA_FLAGS) + 1):
+        for given in combinations(POA_FLAGS, r):
+            stray = [flag for flag in given if flag not in POA_READS[family]]
+            if not stray:
+                continue
+            argv = [x for flag in given for x in (flag, POA_FLAGS[flag])]
+            assert run_cli("poa", "--family", family, *argv, "--seed", "3", "--out", str(out)) == 1
+            assert capsys.readouterr().err == f"error: {stray[0]} is not a {family} parameter\n"
+            assert not out.exists()
+
+
 def test_simgame_negative_orders_exits_1(tmp_path, capsys):
     out = tmp_path / "sim.json"
     code = run_cli("simgame", "--n", "8", "--orders", "-3", "--out", str(out))
@@ -162,6 +185,12 @@ def test_simgame_negative_orders_exits_1(tmp_path, capsys):
          "--n is not a star-matching parameter"),
         (["simgame", "--n", "8", "--c", "x"], "--c must be a rational 'p/q', got 'x'"),
         (["gen", "--graph", "ring", "--seed", "1"], "--n must be an integer, got nothing"),
+        (["poa", "--family", "pgg-instance", "--d", "3", "--k", "2", "--c", "1/2", "--game", "minority",
+          "--graph-file", "nonexist.json"], "--game is not a pgg-instance parameter"),
+        (["poa", "--family", "minority-instance", "--game", "pgg", "--c", "1/2", "--k", "3", "--d", "4"],
+         "--game is not a minority-instance parameter"),
+        (["poa", "--family", "enumerate", "--game", "minority", "--d", "4"],
+         "--d is not a enumerate parameter"),
     ],
 )
 def test_flag_faults_exit_1(tmp_path, capsys, argv, message):

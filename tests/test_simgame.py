@@ -20,7 +20,6 @@ from netgame.simgame import (
     merged_coloring,
     play_simulation_round,
     project,
-    simulation_fair_round,
     simulation_report,
     simulation_utility,
 )
@@ -74,12 +73,12 @@ def test_one_round_reaches_full_utility(ring64_sim):
 
 
 def test_second_round_has_no_switches(ring64_sim):
+    # a fair round switches exactly the agents that are empty or below
+    # utility 1, and utility is at most 1: here that is nobody
     sim = ring64_sim
     order = tuple(range(63, -1, -1))
     profile = play_simulation_round(sim, order)
-    again, switches = simulation_fair_round(sim, profile, order)
-    assert switches == 0
-    assert again == profile
+    assert all(simulation_utility(sim, v, profile) == 1 for v in range(64))
 
 
 def test_projection_is_equilibrium_of_base(ring64_sim):
@@ -335,10 +334,10 @@ def test_constructive_best_response_on_partly_played_profiles(ring64_sim, played
     sim = ring64_sim
     profile = list(empty_profile(sim))
     for u in played:
-        profile[u] = constructive_best_response(sim, u, tuple(profile), merged_coloring(sim, profile))
+        profile[u] = constructive_best_response(sim, u, merged_coloring(sim, profile))
     fixed = {x: c for u in played for x, c in profile[u].assignment}
     assert any(w not in fixed for w in sim.balls[0].order)
-    profile[0] = constructive_best_response(sim, 0, tuple(profile), merged_coloring(sim, profile))
+    profile[0] = constructive_best_response(sim, 0, merged_coloring(sim, profile))
     assert profile[0].color_of == reference_best_response_colors(sim, 0, fixed)
     assert simulation_utility(sim, 0, tuple(profile)) == 1
 
@@ -431,8 +430,9 @@ def test_opening_check_matches_the_utility_scan_on_random_recolorings(ring64_sim
 
 
 def reference_fair_round(sim, profile, agents):
-    """`simulation_fair_round` with each response built against ``fixed``,
-    the colors of every played derived neighbor, rebuilt per call."""
+    """A fair round of ``agents`` from ``profile``: an agent keeps a utility-1
+    action, else takes the greedy response to ``fixed``, the colors of every
+    played derived neighbor, rebuilt per call, and must reach utility 1."""
     current = list(profile)
     switches = 0
     for v in agents:
@@ -449,24 +449,12 @@ def reference_fair_round(sim, profile, agents):
     return tuple(current), switches
 
 
-def clashing_action(sim, profile, u, rng):
-    """``(action, w, y)``: an action for ``u`` that agrees with every other
-    played coloring on shared nodes but gives node ``w``, which only ``u``
-    colors, the color of node ``y``, within the coloring radius of ``w`` and
-    outside ``u``'s ball; None if there is none. An agent whose ball holds
-    ``w`` or ``y`` and that plays before ``u`` switches inherits the clash,
-    and its response falls short of utility 1."""
-    others = merged_coloring(sim, profile[:u] + (None,) + profile[u + 1:])
-    own = profile[u].color_of
-    options = [
-        (w, y)
-        for w in own if w not in others
-        for y in sim.near_nodes[w] if y not in own and y in others and others[y] not in own.values()
-    ]
-    if not options:
-        return None
-    w, y = rng.choice(options)
-    return make_action(sim, u, {**own, w: others[y]}), w, y
+def reference_opening_round(sim, order):
+    """`reference_fair_round` from the all-empty profile, then the utility scan."""
+    profile, switches = reference_fair_round(sim, empty_profile(sim), order)
+    assert switches == len(order)
+    reference_opening_check(sim, profile)
+    return profile
 
 
 @pytest.mark.parametrize("graph", ["ring64", "path40"])
@@ -479,57 +467,49 @@ def test_fair_round_matches_the_round_that_rebuilds_fixed(ring64_sim, graph):
         sim = build_simulation_game(pgg_game(path_graph(40), HALF), greedy_mis_normal_form(2))
     n = sim.network.node_count
     rng = Random(31)
-    switched = {"first": 0, "second": 0}
-    for trial in range(18):
+    for _ in range(18):
         order = list(range(n))
         rng.shuffle(order)
-        start, u = empty_profile(sim), None
-        if trial % 3:
-            # A fair-play prefix in which one played agent u clashes. u moves
-            # first, or second after an unplayed agent that shares a node only
-            # u colored and holds neither clashing node, so that u's action is
-            # withdrawn while a response published this round still owns it.
-            start, _ = reference_fair_round(sim, start, order[: rng.randrange(2, n // 2)])
-            played = [v for v in range(n) if start[v] is not None]
-            rng.shuffle(played)
-            rng.shuffle(order)
-            for v in played:
-                clash = clashing_action(sim, start, v, rng)
-                if clash is None:
-                    continue
-                u, (action, w, y) = v, clash
-                others = merged_coloring(sim, start[:u] + (None,) + start[u + 1:])
-                sharing = [
-                    (v, x) for v in range(n) if start[v] is None
-                    and w not in sim.balls[v].order and y not in sim.balls[v].order
-                    for x in sim.balls[v].order if x in action.color_of and x not in others
-                ]
-                first = [u]
-                if trial % 3 == 2 and sharing:
-                    # x takes a color the greedy rule never picks, so u's
-                    # response keeps it only if it sees v's published x
-                    v, x = rng.choice(sharing)
-                    action = make_action(sim, u, {**action.color_of, x: sim.algorithm.palette})
-                    first = [v, u]
-                start = start[:u] + (action,) + start[u + 1:]
-                assert simulation_utility(sim, u, start) == 0
-                order = first + [v for v in order if v not in first]
-                break
-        got = outcome(simulation_fair_round, sim, start, tuple(order))
-        assert got == outcome(reference_fair_round, sim, start, order)
-        if not isinstance(got, str):
-            assert simulation_fair_round(sim, got[0], tuple(order)) == (got[0], 0)
-            if u is not None:
-                assert got[0][u] != start[u]
-                switched["first" if order[0] == u else "second"] += 1
-    assert min(switched.values()) >= 2, switched
+        got = outcome(play_simulation_round, sim, tuple(order))
+        assert got == outcome(reference_opening_round, sim, order)
+        assert not isinstance(got, str), got
 
 
-def test_fair_round_rejects_disagreeing_start(ring64_sim):
+@pytest.mark.parametrize("seed", range(4))
+def test_opening_round_reports_an_injected_response_at_its_end(ring64_sim, monkeypatch, seed):
+    # One agent's response recolors a node that a derived neighbor already
+    # published; the round must fail with the utility scan's message on the
+    # actions played.
+    import netgame.simgame as simgame_mod
+
     sim = ring64_sim
-    profile = play_simulation_round(sim, tuple(range(64)))
-    # node 3 lies in the balls of agents 0 and 3; only agent 3 recolors it
-    coloring = {**profile[3].color_of, 3: sim.algorithm.palette}
-    start = profile[:3] + (make_action(sim, 3, coloring),) + profile[4:]
-    with pytest.raises(SimulationFault, match="played colorings disagree on node 3$"):
-        simulation_fair_round(sim, start, tuple(range(64)))
+    palette = sim.algorithm.palette
+    rng = Random(seed)
+    order = list(range(64))
+    rng.shuffle(order)
+    bad = order[rng.randrange(1, 64)]
+    played = {}
+    respond = simgame_mod.constructive_best_response
+
+    def injected(sim, v, published):
+        action = respond(sim, v, published)
+        if v == bad:
+            shared = [w for w in sim.balls[v].order if w in published]
+            w = rng.choice(shared)
+            action = make_action(sim, v, {**action.color_of, w: palette})
+        played[v] = action
+        return action
+
+    monkeypatch.setattr(simgame_mod, "constructive_best_response", injected)
+    with pytest.raises(SimulationFault) as info:
+        play_simulation_round(sim, tuple(order))
+    assert sorted(played) == list(range(64))
+    expected = outcome(reference_opening_check, sim, tuple(played[v] for v in range(64)))
+    assert expected is not None
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("order", [(), tuple(range(63)), (0,) * 64, tuple(range(1, 65))])
+def test_opening_round_rejects_an_order_that_is_not_a_permutation(ring64_sim, order):
+    with pytest.raises(ValidationError, match="^order must be a permutation of the agents$"):
+        play_simulation_round(ring64_sim, order)
