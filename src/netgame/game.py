@@ -295,7 +295,7 @@ def coloring_game(net: Network, k: int) -> GraphicalGame:
     def u(v: int, own: Action, nbrs: tuple[Action, ...]) -> Fraction:
         return Fraction(0) if own in nbrs else Fraction(1)
 
-    actions = tuple(tuple(range(1, k + 1)) for _ in range(net.node_count))
+    actions = (tuple(range(1, k + 1)),) * net.node_count  # one tuple, shared
     return GraphicalGame(net, actions, u, GAME_KINDS["coloring"], {"k": k})
 
 

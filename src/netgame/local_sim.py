@@ -11,8 +11,9 @@ within ``max_degree**2 + 1``.
 Two nodes are within distance 2 iff they are adjacent or share a
 neighbor, so a coloring is proper iff every closed neighborhood is
 rainbow (McCormick 1983). The coloring and its check read closed
-neighborhoods straight from the adjacency; a truncated BFS per node runs
-only to name a clash.
+neighborhoods straight from the adjacency, as one integer color mask per
+node; a truncated BFS per node runs only when the check fails, to name
+the clash.
 
 Every switch runs the game kind's switch check (`BestResponseEngine.switch`)
 and every round its round check, as in `dynamics.run`.
@@ -50,22 +51,38 @@ def distance_coloring(net: Network) -> DistanceColoring:
     """Greedy proper distance-2 coloring over ascending node index.
 
     Each node takes the smallest color unused by its neighbors and by their
-    neighbors, read from the adjacency, so at most ``max_degree**2 + 1``
-    colors are used.
+    neighbors, so at most ``max_degree**2 + 1`` colors are used. Color ``c``
+    is bit ``c`` of an integer mask, and ``held[v]`` holds the colors
+    present in ``v``'s closed neighborhood: the colors within distance 2 of
+    ``v`` are the union of ``held`` over that neighborhood.
     """
     adjacency = net.adjacency
     colors = [0] * net.node_count
+    held = [0] * net.node_count
     for v in range(net.node_count):
-        # uncolored nodes, v among them, read as color 0
-        taken = {colors[u] for u in adjacency[v]}
-        for u in adjacency[v]:
-            taken.update([colors[w] for w in adjacency[u]])
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
+        nbrs = adjacency[v]
+        taken = held[v] | 1  # bit 0 stands for uncolored, so colors start at 1
+        for u in nbrs:
+            taken |= held[u]
+        bit = ~taken & (taken + 1)  # the lowest clear bit
+        colors[v] = bit.bit_length() - 1
+        held[v] |= bit
+        for u in nbrs:
+            held[u] |= bit
     palette = max(colors, default=0)
     return DistanceColoring(colors=tuple(colors), palette_size=max(palette, 1))
+
+
+def _rainbow(adjacency: tuple[tuple[int, ...], ...], masks: list[int]) -> bool:
+    """Whether no closed neighborhood holds one color bit twice."""
+    for v, nbrs in enumerate(adjacency):
+        seen = masks[v]
+        for u in nbrs:
+            bit = masks[u]
+            if seen & bit:
+                return False
+            seen |= bit
+    return True
 
 
 def check_coloring(net: Network, coloring: DistanceColoring) -> None:
@@ -74,18 +91,19 @@ def check_coloring(net: Network, coloring: DistanceColoring) -> None:
 
     The coloring is proper iff every closed neighborhood is rainbow, since
     two nodes are within distance 2 iff they are adjacent or share a
-    neighbor; only when that fails does a truncated BFS per node run, to
-    name the first clashing pair ``(v, u)`` and their distance.
+    neighbor. Each distinct color gets one mask bit by its rank among the
+    colors used, not bit ``c``, so a caller's color of ``10**9`` costs one
+    bit. Only when some closed neighborhood repeats a bit does a truncated
+    BFS per node run, to name the first clashing pair ``(v, u)`` and their
+    distance.
     """
     colors = coloring.colors
     if len(colors) != net.node_count:
         raise ValidationError("coloring length does not match the network")
     if any(c < 1 or c > coloring.palette_size for c in colors):
         raise ValidationError("colors must lie in 1..palette_size")
-    if all(
-        len({colors[v], *[colors[u] for u in nbrs]}) == len(nbrs) + 1
-        for v, nbrs in enumerate(net.adjacency)
-    ):
+    bits = {c: 1 << i for i, c in enumerate(set(colors))}
+    if _rainbow(net.adjacency, [bits[c] for c in colors]):
         return
     for v in range(net.node_count):
         for u, d in net.bfs_distances(v, limit=2).items():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +6,7 @@ import pytest
 
 from netgame.errors import ValidationError
 from netgame.game import (
+    BestResponseEngine,
     best_responses,
     coloring_game,
     game_from_descriptor,
@@ -13,10 +15,11 @@ from netgame.game import (
     minority_game,
     parse_rational,
     pgg_game,
+    random_profile,
     utility,
     welfare,
 )
-from netgame.network import Network, bipartite_double_cover, random_regular, ring
+from netgame.network import Network, bipartite_double_cover, random_regular, ring, torus
 from conftest import path_graph
 
 HALF = Fraction(1, 2)
@@ -157,6 +160,25 @@ def test_nash_definition_bridge(atlas5):
                 p[v] in best_responses(g, v, p) for v in range(net.node_count)
             )
             assert by_def == by_best
+
+
+def test_coloring_game_shares_one_action_tuple():
+    for net, k in ((ring(7), 3), (torus(5), 4)):
+        n = net.node_count
+        g = coloring_game(net, k)
+        copies = tuple(tuple(range(1, k + 1)) for _ in range(n))
+        assert g.actions == copies
+        assert all(a is g.actions[0] for a in g.actions)
+        assert len({id(a) for a in copies}) == n
+        apart = replace(g, actions=copies)
+        profile = random_profile(g, Random(k))
+        shared, distinct = BestResponseEngine(g, profile), BestResponseEngine(apart, profile)
+        for _ in range(2):
+            assert shared.key == distinct.key
+            assert shared.pay == distinct.pay
+            assert shared.welfare() == distinct.welfare()
+            assert shared.sweep(range(n)) == distinct.sweep(range(n))
+        assert shared.profile == distinct.profile
 
 
 def test_profile_shape_rejected():

@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from netgame.local_sim import (
     simulate_fair_rounds,
 )
 from netgame.network import Network, _ball, random_regular, ring, torus
+from conftest import path_graph, star_graph
 
 HALF = Fraction(1, 2)
 
@@ -136,12 +138,15 @@ def reference_check_coloring(net, coloring, r):
 
 
 def colored_networks(st):
-    """Random regular graphs, tori, rings, sparse graphs with isolated nodes
-    and the empty graph."""
+    """Random regular graphs, tori, rings, sparse graphs with isolated nodes,
+    the empty graph and stars whose leaves all lie within distance 2, so
+    that a proper coloring uses more colors than a machine word has bits."""
 
     @st.composite
     def networks(draw):
-        shape = draw(st.sampled_from(["regular", "torus", "ring", "sparse", "empty"]))
+        shape = draw(st.sampled_from(["regular", "torus", "ring", "sparse", "empty", "star"]))
+        if shape == "star":
+            return star_graph(draw(st.integers(66, 81)))  # 65 to 80 leaves
         if shape == "regular":
             d = draw(st.integers(3, 4))
             n = draw(st.integers(d + 1, 24).filter(lambda n: n * d % 2 == 0))
@@ -203,3 +208,38 @@ def test_check_coloring_names_the_bfs_reference_clash():
         assert check_outcome(check_coloring, net, coloring) == want
 
     check()
+
+
+def test_check_coloring_runs_no_bfs_on_a_proper_coloring(monkeypatch):
+    nets = [star_graph(71), torus(6), random_regular(40, 3, 5), ring(9)]
+    colorings = [distance_coloring(net) for net in nets]
+
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("the BFS scan ran on a proper coloring")
+
+    monkeypatch.setattr(Network, "bfs_distances", no_bfs)
+    for net, coloring in zip(nets, colorings):
+        check_coloring(net, coloring)
+
+
+def test_check_coloring_on_huge_colors():
+    # Mask bits are ranks among the colors used; bit ``c`` itself would
+    # take 125 MB per color here.
+    big = 10**9
+    cases = [
+        (path_graph(2), (big, big - 1), None),
+        (path_graph(3), (big - 2, big, big - 1), None),
+        (path_graph(2), (big, big), f"nodes 0 and 1 at distance 1 share color {big}"),
+        (path_graph(3), (big, 7, big), f"nodes 0 and 2 at distance 2 share color {big}"),
+        (path_graph(3), (big - 1, big - 1, 1), f"nodes 0 and 1 at distance 1 share color {big - 1}"),
+    ]
+    tracemalloc.start()
+    try:
+        for net, colors, want in cases:
+            coloring = DistanceColoring(colors=colors, palette_size=big)
+            assert check_outcome(reference_check_coloring, net, coloring, 2) == want
+            assert check_outcome(check_coloring, net, coloring) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
