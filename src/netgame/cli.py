@@ -114,6 +114,8 @@ def _load_json(path: str, what: str) -> dict:
         raise ValidationError(f"{what} file not found: {path}")
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValidationError(f"{what} file {path} is nested too deeply")
 
 
 def _load_graph(path: str) -> network.Network:
@@ -347,7 +349,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_game(args)
-    profile = dynamics.profile_from_json(_load_json(args.profile, "profile"), g)
+    profile = dynamics.profile_from_json(_load_json(args.profile, "profile"))
     verdict = lvl.verify(lvl.compile_lvl(g), g.network, profile)
     payload = verdict.to_json()
     payload["meta"] = _meta(args)

@@ -316,9 +316,9 @@ def profile_to_json(profile: Profile) -> dict:
     return {"profile": list(profile)}
 
 
-def profile_from_json(obj: dict, game: GraphicalGame) -> Profile:
+def profile_from_json(obj: dict) -> Profile:
+    """The profile of ``{"profile": [...]}``, checked for shape only: its entries
+    meet `validate_profile` where the profile is used."""
     if not isinstance(obj, dict) or not isinstance(obj.get("profile"), list):
         raise ValidationError("profile JSON must be an object with a 'profile' list")
-    profile = tuple(obj["profile"])
-    validate_profile(game, profile)
-    return profile
+    return tuple(obj["profile"])

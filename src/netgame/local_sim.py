@@ -8,6 +8,12 @@ classes ``1..palette`` in turn and therefore costs ``palette`` rounds of
 synchronous message passing; the greedy coloring below keeps the palette
 within ``max_degree**2 + 1``.
 
+The replay plays each round as one `BestResponseEngine.sweep` over the
+color-major, index-minor order. That equals moving each class at once: a
+switch changes the keys of the mover's neighbors only, and no neighbor of
+a class member is in its class, so no member's key changes while its class
+plays and every member responds to the profile as of the class start.
+
 Two nodes are within distance 2 iff they are adjacent or share a
 neighbor, so a coloring is proper iff every closed neighborhood is
 rainbow (McCormick 1983). The coloring and its check read closed
@@ -123,9 +129,9 @@ def simulate_fair_rounds(
 
     Per round, classes are activated in color order; class members compute
     best responses against the profile as of class start and all update at
-    once. Returns the final profile and, per round, the color-major
-    index-minor permutation whose sequential replay produces the same
-    profiles.
+    once, played as one engine sweep of the color-major index-minor order.
+    Returns the final profile and, per round, that order, whose sequential
+    replay produces the same profiles.
 
     Raises:
         ValidationError: if the coloring is not a proper distance-2
@@ -138,21 +144,11 @@ def simulate_fair_rounds(
     if rounds < 0:
         raise ValidationError("rounds must be >= 0")
 
-    classes: dict[int, list[int]] = {}
-    for v in range(net.node_count):
-        classes.setdefault(coloring.colors[v], []).append(v)
-    schedule = [classes[color] for color in sorted(classes)]
-
+    order = tuple(sorted(range(net.node_count), key=coloring.colors.__getitem__))
     engine = BestResponseEngine(game, init)
-    prof, key, table, entry = engine.profile, engine.key, engine.table, engine.entry
     check_round = game.kind.check_round
     for r in range(1, rounds + 1):
-        for members in schedule:
-            moves = [(table.get(key[v]) or entry(v, key[v]))[1][prof[v]] for v in members]
-            for v, choice in zip(members, moves):
-                if choice != prof[v]:  # no neighbor of v is in its class
-                    engine.switch(v, choice)
+        engine.sweep(order)
         if check_round is not None:
-            check_round(game, prof, r)
-    order = tuple(v for members in schedule for v in members)
-    return tuple(prof), [order] * rounds
+            check_round(game, engine.profile, r)
+    return tuple(engine.profile), [order] * rounds

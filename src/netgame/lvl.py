@@ -9,9 +9,7 @@ exponential in the degree and adds nothing.
 ``LvlSpec.accept`` is the public predicate. `verify` gives the same verdict
 at every node without a call per node: it computes every node's key in
 one pass, as `BestResponseEngine.reset` does, and reads the preferred
-response from the compiled spec's engine table. Labels index the one
-action list the engine requires of every node, so `verify` bounds each
-label by its length.
+response from the compiled spec's engine table.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .game import BestResponseEngine, GraphicalGame, Profile
+from .game import BestResponseEngine, GraphicalGame, Profile, validate_profile
 from .network import Network
 
 AcceptPredicate = Callable[[int, int, tuple[int, ...]], bool]
@@ -62,18 +60,12 @@ def compile_lvl(game: GraphicalGame) -> LvlSpec:
 def verify(spec: LvlSpec, net: Network, labels: Profile) -> Verdict:
     """The accept predicate's verdict at every node, read from the spec's
     engine table by key; collect violators in node order. ``net`` must equal
-    the network the spec was compiled on."""
+    the network the spec was compiled on, and ``labels`` must pass
+    `validate_profile` on the spec's game."""
     engine = spec.engine
     if net != engine.game.network:
         raise ValidationError("labeling's network is not the one the verifier was compiled on")
-    if len(labels) != net.node_count:
-        raise ValidationError(
-            f"labeling has {len(labels)} entries for {net.node_count} nodes"
-        )
-    k = len(engine.acts)
-    for v, lab in enumerate(labels):
-        if type(lab) is not int or not 0 <= lab < k:
-            raise ValidationError(f"label {lab!r} invalid for node {v}")
+    validate_profile(engine.game, labels)
     table, entry = engine.table, engine.entry
     violations = [v for v, (key, lab) in enumerate(zip(engine.keys(labels), labels))
                   if (table.get(key) or entry(v, key))[1][lab] != lab]

@@ -388,19 +388,19 @@ def find_frozen_configuration(
     zero-switch sweep is charged but not run. Returns None when the budget runs out,
     and on a network without nodes, whose empty profile is proper.
 
-    Returns None at once, charging no budget, when ``net.max_degree < k``:
-    a node at utility 0 that plays a best response finds every color held by
-    a neighbor, so its degree is at least k; below that, every fixpoint is
-    proper and the search could only run out of budget.
+    Returns None at once, charging no budget and building no game, when
+    ``net.max_degree < k``: a node at utility 0 that plays a best response
+    finds every color held by a neighbor, so its degree is at least k; below
+    that, every fixpoint is proper and the search could only run out of budget.
     """
     if k < 2:
         raise ValidationError("frozen-configuration search needs k >= 2")
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget}")
+    if type(k) is int and net.max_degree < k:  # no node can see all k colors: nothing is frozen
+        return None
     game = coloring_game(net, k)
     n = net.node_count
-    if net.max_degree < k:  # no node can see all k colors: nothing is frozen
-        return None
     engine = BestResponseEngine(game)
     steps = 0
     restart = 0

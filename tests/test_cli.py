@@ -307,6 +307,26 @@ def test_verify_with_mistyped_profile_exits_1(tmp_path, capsys, profile):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        ([1, 0, 1], "profile has 3 entries for 4 nodes"),
+        ([1, 0, 2, 0], "profile entry 2 invalid for node 2"),
+        ([True, 0, 1, 0], "profile entry True invalid for node 0"),
+    ],
+    ids=["short", "out_of_range", "bool"],
+)
+def test_verify_names_the_bad_profile_entry(tmp_path, capsys, profile, message):
+    g, prof, out = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "v.json"
+    run_cli("gen", "--graph", "ring", "--n", "4", "--out", str(g))
+    prof.write_text(json.dumps({"profile": profile}))
+    capsys.readouterr()
+    assert run_cli("verify", "--game", "pgg", "--c", "1/2", "--graph-file", str(g),
+                   "--profile", str(prof), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -448,8 +468,9 @@ def test_write_json_writes_an_edge_list_by_slice(tmp_path, piece_sizes):
         ("{not json", "is not valid JSON"),
         ('{"n": 3, "edges": [[0, 5]], "max_degree": 1}', "edge 0-5 out of range for n=3"),
         ('{"n": 3, "edges": [[0, 1], [1, 2]], "max_degree": 2}', None),
+        ("[" * 100000 + "]" * 100000, "is nested too deeply"),
     ],
-    ids=["missing", "not_json", "bad_graph", "good"],
+    ids=["missing", "not_json", "bad_graph", "good", "deep"],
 )
 def test_load_graph_leaves_gc_as_it_found_it(tmp_path, capsys, enabled, content, message):
     import gc
@@ -548,6 +569,14 @@ def test_config_generator_missing_parameter_names_pointer(tmp_path, capsys):
 )
 def test_config_graph_rejects_keys_its_source_ignores(tmp_path, capsys, graph, message):
     assert_config_rejected(tmp_path, capsys, make_config(tmp_path, graph=graph), message)
+
+
+def test_config_nested_too_deeply_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"graph": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "t.csv")) == 1
+    assert capsys.readouterr().err == f"error: config file {path} is nested too deeply\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_config_missing_graph_file_names_path(tmp_path, capsys):
@@ -805,6 +834,8 @@ PROBED_PROFILES = [
     b'{"profile": [0, 1, 0, 1, 0, 1, 0]}', b'{"profile": [-1, 0, 1, 0, 1, 0]}',
     b"[0, 1, 0, 1, 0, 1]", b'{"profile": [0, 1, 0, 1, 0, 1]}', b'\xff\xfe{"profile": []}',
 ]
+# Probed after every other case, so that the cases above keep their ids.
+PROBED_LATE_PROFILES = [b'{"profile": ' + b"[" * 100000 + b"]" * 100000 + b"}"]
 PROBED_INITS = ["", ",", "0,1", "-1,0,0,0,0,0", "0,1,0,1,0,2", "random,0", "1e3,0,0,0,0,0",
                 "RANDOM", " random", "0, 1,0,1,0,1"]
 PROBED_COUNTS = [
@@ -862,6 +893,8 @@ PROBED_CASES = (
        for argv in PROBED_COSTS for c in ("x", "1/0", "-1/2", "2")]
     + [(["run", "--config", "{cfg}", "--out", "{out}"], None, config) for config in PROBED_CONFIGS]
     + [(["gen", "--graph", *flags, "--out", "{out}"], None, None) for flags in PROBED_GEN_FLAGS]
+    + [(["verify", *game, "--graph-file", "{g}", "--profile", "{p}", "--out", "{out}"], profile, None)
+       for profile in PROBED_LATE_PROFILES for game in GAMES]
 )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from netgame.errors import SimulationFault, ValidationError
 from netgame.dynamics import fair_round, step
-from netgame.game import coloring_game, minority_game, pgg_game, random_profile
+from netgame.game import BestResponseEngine, coloring_game, minority_game, pgg_game, random_profile
 from netgame.local_sim import (
     DistanceColoring,
     check_coloring,
@@ -243,3 +243,82 @@ def test_check_coloring_on_huge_colors():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# Test-only reference: each class computes every member's move against the
+# profile as of the class start, then writes the moves one by one.
+def reference_class_replay(game, init, coloring, rounds):
+    classes: dict[int, list[int]] = {}
+    for v in range(game.network.node_count):
+        classes.setdefault(coloring.colors[v], []).append(v)
+    schedule = [classes[color] for color in sorted(classes)]
+    engine = BestResponseEngine(game, init)
+    prof, key, table, entry = engine.profile, engine.key, engine.table, engine.entry
+    for r in range(1, rounds + 1):
+        for members in schedule:
+            moves = [(table.get(key[v]) or entry(v, key[v]))[1][prof[v]] for v in members]
+            for v, choice in zip(members, moves):
+                if choice != prof[v]:
+                    engine.switch(v, choice)
+        if game.kind.check_round is not None:
+            game.kind.check_round(game, prof, r)
+    order = tuple(v for members in schedule for v in members)
+    return tuple(prof), [order] * rounds
+
+
+def replay_outcome(replay, game, init, coloring, rounds):
+    try:
+        return replay(game, init, coloring, rounds)
+    except SimulationFault as exc:
+        return f"fault: {exc}"
+
+
+def replay_game(name, net, k=3):
+    """A game of one of the three kinds, or one whose utility breaks its kind's
+    switch check (a coordination utility under the anti-coordination kind) or
+    round check (an always-produce utility under the pgg kind)."""
+    if name == "inverted-minority":
+        g = minority_game(net)
+        return replace(g, utility_fn=lambda v, own, nbrs: -g.utility_fn(v, own, nbrs))
+    if name == "eager-pgg":
+        return replace(pgg_game(net, HALF), utility_fn=lambda v, own, nbrs: Fraction(own == "P"))
+    if name == "pgg":
+        return pgg_game(net, HALF)
+    return minority_game(net) if name == "minority" else coloring_game(net, k)
+
+
+def test_replay_sweep_matches_the_class_by_class_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        colored_networks(st),
+        st.sampled_from(["pgg", "minority", "coloring", "inverted-minority", "eager-pgg"]),
+        st.integers(2, 5), st.integers(0, 3), st.integers(0, 2**32 - 1),
+    )
+    def check(net, name, k, rounds, seed):
+        game = replay_game(name, net, k)
+        init = random_profile(game, Random(seed))
+        coloring = distance_coloring(net)
+        want = replay_outcome(reference_class_replay, game, init, coloring, rounds)
+        assert replay_outcome(simulate_fair_rounds, game, init, coloring, rounds) == want
+
+    check()
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["pgg", "minority", "coloring"])
+def test_replay_sweep_matches_the_reference_per_kind(kind, rounds):
+    net = random_regular(30, 3, seed=4)
+    game = replay_game(kind, net)
+    init, coloring = random_profile(game, Random(rounds)), distance_coloring(net)
+    assert simulate_fair_rounds(game, init, coloring, rounds) == reference_class_replay(game, init, coloring, rounds)
+
+
+@pytest.mark.parametrize("name, init", [("inverted-minority", (0, 1) * 3), ("eager-pgg", (0,) * 6)])
+def test_replay_sweep_faults_as_the_reference(name, init):
+    game, coloring = replay_game(name, ring(6)), distance_coloring(ring(6))
+    want = replay_outcome(reference_class_replay, game, init, coloring, 2)
+    assert want.startswith("fault: ")
+    assert replay_outcome(simulate_fair_rounds, game, init, coloring, 2) == want

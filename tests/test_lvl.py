@@ -84,13 +84,13 @@ def test_verify_rejects_shape_mismatch():
     net = path_graph(3)
     g = pgg_game(net, HALF)
     spec = compile_lvl(g)
-    with pytest.raises(ValidationError, match=r"^labeling has 2 entries for 3 nodes$"):
+    with pytest.raises(ValidationError, match=r"^profile has 2 entries for 3 nodes$"):
         verify(spec, net, (0, 1))
-    with pytest.raises(ValidationError, match=r"^label 7 invalid for node 2$"):
+    with pytest.raises(ValidationError, match=r"^profile entry 7 invalid for node 2$"):
         verify(spec, net, (0, 1, 7))
-    with pytest.raises(ValidationError, match=r"^label 2 invalid for node 1$"):
+    with pytest.raises(ValidationError, match=r"^profile entry 2 invalid for node 1$"):
         verify(spec, net, (0, 2, 1))  # pgg has two actions
-    with pytest.raises(ValidationError, match=r"^label True invalid for node 0$"):
+    with pytest.raises(ValidationError, match=r"^profile entry True invalid for node 0$"):
         verify(spec, net, (True, 1, 0))
 
 

@@ -406,14 +406,19 @@ def test_frozen_search_below_degree_k_runs_no_restart(monkeypatch):
 
     monkeypatch.setattr("netgame.oracle.random_profile", refuse)
     monkeypatch.setattr("netgame.oracle.BestResponseEngine", refuse)
+    monkeypatch.setattr("netgame.oracle.coloring_game", refuse)  # its action tuple has k entries
     for seed in range(3):
         assert find_frozen_configuration(torus(6), 5, seed, 10**9) is None
+        assert find_frozen_configuration(torus(6), 10**12, seed, 10**9) is None
         assert find_frozen_configuration(Network.from_edges(0, []), 3, seed, 10**9) is None
-    # The argument checks still come first.
+    # The argument checks still come first, then the game's own check of k.
     with pytest.raises(ValidationError, match=r"^frozen-configuration search needs k >= 2$"):
         find_frozen_configuration(torus(6), 1, 0, 10**9)
     with pytest.raises(ValidationError, match=r"^budget must be >= 0, got -1$"):
         find_frozen_configuration(torus(6), 5, 0, -1)
+    monkeypatch.undo()
+    with pytest.raises(ValidationError, match=r"^coloring game needs an integer k >= 2, got 2\.5$"):
+        find_frozen_configuration(torus(6), 2.5, 0, 10**9)
 
 
 def test_minority_poa_report_flags_convention_gap():
