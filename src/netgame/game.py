@@ -184,7 +184,8 @@ class BestResponseEngine:
             self.pay[:] = [p * scale for p in self.pay]
             self.welfare_num *= scale
         pays = [p.numerator * (den // p.denominator) for p in payoffs]
-        pref = tuple(a if a in best else best[0] for a in range(len(payoffs)))
+        top = set(best)  # a tuple of k maximizers would cost O(k) per action
+        pref = tuple([a if a in top else best[0] for a in range(len(payoffs))])
         self.table[key] = (pays, pref)
         return pays, pref
 

@@ -8,7 +8,6 @@ values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -110,17 +109,25 @@ class Network:
 
 def _ball(adjacency, sources, limit: int | None) -> dict[int, int]:
     """Hop distances from the nearest of ``sources``, truncated at ``limit``
-    if given; ``adjacency[x]`` lists the neighbors of ``x``."""
+    if given; ``adjacency[x]`` lists the neighbors of ``x``.
+
+    The search expands one level at a time from a list frontier, so the
+    depth is tested once per level, not once per node. Each level lists its
+    nodes in the order the level before discovers them, so the dict holds
+    the nodes in the order of a first-in-first-out search.
+    """
     dist = dict.fromkeys(sources, 0)
-    queue = deque(dist)
-    while queue:
-        x = queue.popleft()
-        if limit is not None and dist[x] >= limit:
-            continue
-        for y in adjacency[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+    frontier = list(dist)
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        level = []
+        for x in frontier:
+            for y in adjacency[x]:
+                if y not in dist:
+                    dist[y] = depth
+                    level.append(y)
+        frontier = level
     return dist
 
 
@@ -344,24 +351,32 @@ def _root_cycle(adjacency, root: int, limit: int) -> tuple[int, tuple[int, ...]]
     minimum node towards the smaller of that node's two cycle neighbors. A
     walk whose tree paths share more than the root contains a strictly
     shorter cycle, so only simple cycles survive to the girth.
+
+    The BFS walks its own node list, which it extends as it goes, reads
+    each node's depth and parent once, and keeps the depth bound
+    ``(length - 1) // 2`` in a local that changes only when ``length``
+    shrinks.
     """
     length, smallest = limit, None
+    bound = (length - 1) // 2
     dist = {root: 0}
     parent = {root: -1}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        if dist[x] > (length - 1) // 2:
+    order = [root]
+    for x in order:
+        dx = dist[x]
+        if dx > bound:
             break
+        px = parent[x]
         for y in adjacency[x]:
-            if y == parent[x]:
+            if y == px:
                 continue
-            if y not in dist:
-                dist[y] = dist[x] + 1
+            dy = dist.get(y)
+            if dy is None:
+                dist[y] = dx + 1
                 parent[y] = x
-                queue.append(y)
+                order.append(y)
                 continue
-            cand = dist[x] + dist[y] + 1
+            cand = dx + dy + 1
             if cand > length:
                 continue
             cycle = _path_to_root(x, parent)[::-1] + _path_to_root(y, parent)[:-1]
@@ -371,6 +386,8 @@ def _root_cycle(adjacency, root: int, limit: int) -> tuple[int, tuple[int, ...]]
                 i = cand - 1 - i
             cycle = tuple(cycle[i:] + cycle[:i])
             if smallest is None or cand < length or cycle < smallest:
+                if cand < length:
+                    bound = (cand - 1) // 2
                 length, smallest = cand, cycle
     return None if smallest is None else (length, smallest)
 
@@ -517,11 +534,21 @@ def _on_short_cycle(adjacency, a: int, b: int, limit: int) -> bool:
     """Whether ``b`` lies within ``limit`` of ``a`` without the edge
     ``{a,b}``, that is, whether the edge lies on a cycle of length at most
     ``limit + 1``. The edge is lifted out of the sorted neighbor lists for
-    the search and put back."""
+    the search and put back.
+
+    The search meets in the middle: ``b`` lies within ``limit`` of ``a``
+    iff the ``(limit + 1) // 2``-ball of ``a`` and the ``limit // 2``-ball
+    of ``b`` share a node. A shortest path of length ``d <= limit`` has its
+    node at ``min(d, (limit + 1) // 2)`` from ``a`` in both balls, and a
+    shared node gives a walk of length at most ``limit``. Where the graph
+    looks like a tree out to ``limit``, each half-ball holds about the
+    square root of the nodes of the full ``limit``-ball.
+    """
     adjacency[a].remove(b)
     adjacency[b].remove(a)
     try:
-        return b in _ball(adjacency, (a,), limit)
+        near = _ball(adjacency, (a,), (limit + 1) // 2)
+        return not near.keys().isdisjoint(_ball(adjacency, (b,), limit // 2))
     finally:
         insort(adjacency[a], b)
         insort(adjacency[b], a)

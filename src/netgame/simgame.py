@@ -50,13 +50,27 @@ class BallView:
     """Induced subgraph on the nodes within ``radius`` of ``center``.
 
     ``order`` lists the ball's nodes by (distance from center, index); the
-    adjacency map is restricted to the ball.
+    adjacency map is restricted to the ball. ``inner`` caches, per
+    ``(x, depth)``, the ball's nodes within ``depth`` of ``x`` in that
+    subgraph, in BFS order; it is filled on first use by `within`, takes no
+    part in equality, and lives and dies with the view. It holds only what
+    the ball's own edges determine, never anything read from a coloring.
     """
 
     center: int
     order: tuple[int, ...]
     adjacency: dict[int, tuple[int, ...]]
     distance: dict[int, int]
+    inner: dict[tuple[int, int], tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def within(self, x: int, depth: int) -> tuple[int, ...]:
+        """The ball's nodes within ``depth`` of ``x`` in the induced subgraph."""
+        nodes = self.inner.get((x, depth))
+        if nodes is None:
+            nodes = self.inner[x, depth] = tuple(_ball(self.adjacency, (x,), depth))
+        return nodes
 
     @classmethod
     def extract(cls, net: Network, center: int, radius: int) -> "BallView":
@@ -127,6 +141,14 @@ def greedy_mis_normal_form(delta: int) -> NormalFormAlgorithm:
     balls, so two adjacent centers never both emit "P" regardless of the
     coloring; on graphs small enough that the truncation sees everything
     the output is exactly the global greedy maximal independent set.
+
+    The nodes within ``t - 1`` of ``x`` depend only on the ball's edges, so
+    each ball computes them once per ``x`` (`BallView.within`) and every
+    coloring of that ball reuses them; only the order of the greedy run
+    reads the coloring. A node ``w`` joins iff no neighbor of ``w`` joined
+    before it; the joined nodes all lie within ``t - 1`` of ``x``, so
+    testing the whole of ``w``'s ball neighbors equals testing those within
+    ``t - 1``.
     """
     if delta < 2:
         raise ValidationError("normal-form rule needs max degree >= 2")
@@ -134,11 +156,10 @@ def greedy_mis_normal_form(delta: int) -> NormalFormAlgorithm:
     palette = delta ** (2 * t + 2) + 1
 
     def truncated_join(view: BallView, coloring: dict[int, int], x: int) -> bool:
-        # Nodes within t-1 of x (via induced BFS; exact for this depth).
-        dist = _ball(view.adjacency, (x,), t - 1)
+        adjacency = view.adjacency
         joined: set[int] = set()
-        for w in sorted(dist, key=lambda w: coloring[w]):
-            if not any(y in joined for y in view.adjacency[w] if y in dist):
+        for w in sorted(view.within(x, t - 1), key=coloring.__getitem__):
+            if joined.isdisjoint(adjacency[w]):
                 joined.add(w)
         return x in joined
 

@@ -27,10 +27,12 @@ from netgame.dynamics import (
 )
 from netgame.game import (
     BestResponseEngine,
+    best_response_payoffs,
     coloring_game,
     is_nash_equilibrium,
     minority_cut_edges,
     minority_game,
+    neighbor_values,
     pgg_game,
     random_profile,
     utility,
@@ -436,3 +438,27 @@ def test_keys_and_reset_match_a_recount_after_random_resets(name, kind):
                                         for v in range(len(profile))]
         engine.reset(profile)
         assert_state_matches_recount(engine)
+
+
+ENTRY_GAMES = {
+    **{f"coloring{k}": (lambda k: lambda net: coloring_game(net, k))(k) for k in (2, 3, 7, 64)},
+    "pgg": GAMES["pgg"],
+    "minority": minority_game,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_GAMES))
+@pytest.mark.parametrize("name", sorted(KEY_NETWORKS))
+def test_entry_rows_follow_the_best_response_definition(name, kind):
+    # Each row holds v's payoffs over the common denominator and, per own
+    # action, that action if it maximizes, else the first maximizer.
+    game = ENTRY_GAMES[kind](KEY_NETWORKS[name])
+    engine, rng = BestResponseEngine(game), Random(name + kind)
+    neighbors = game.network.neighbors
+    for _ in range(20):
+        profile = random_profile(game, rng)
+        for v in range(len(profile)):
+            pays, pref = engine.entry(v, engine.key_of(profile[u] for u in neighbors(v)))
+            payoffs, best = best_response_payoffs(game, v, neighbor_values(game, v, profile))
+            assert [Fraction(p, engine.den) for p in pays] == list(payoffs)
+            assert pref == tuple(a if a in best else best[0] for a in range(len(payoffs)))

@@ -715,6 +715,137 @@ def test_root_cycles_under_a_fixed_limit_give_the_shortest_cycle():
     check()
 
 
+# -- the BFS helpers against their first-in-first-out references
+
+
+def reference_ball(adjacency, sources, limit):
+    """`_ball` as a first-in-first-out queue that tests the depth per node."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
+    while queue:
+        x = queue.popleft()
+        if limit is not None and dist[x] >= limit:
+            continue
+        for y in adjacency[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def reference_root_cycle(adjacency, root, limit):
+    """`_root_cycle` on a first-in-first-out queue that recomputes its depth
+    bound and rereads the depth and parent of a node per neighbor."""
+    length, smallest = limit, None
+    dist, parent, queue = {root: 0}, {root: -1}, deque([root])
+    while queue:
+        x = queue.popleft()
+        if dist[x] > (length - 1) // 2:
+            break
+        for y in adjacency[x]:
+            if y == parent[x]:
+                continue
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                parent[y] = x
+                queue.append(y)
+                continue
+            cand = dist[x] + dist[y] + 1
+            if cand > length:
+                continue
+            cycle = network._path_to_root(x, parent)[::-1] + network._path_to_root(y, parent)[:-1]
+            i = cycle.index(min(cycle))
+            if cycle[i - 1] < cycle[(i + 1) % cand]:
+                cycle.reverse()
+                i = cand - 1 - i
+            cycle = tuple(cycle[i:] + cycle[:i])
+            if smallest is None or cand < length or cycle < smallest:
+                length, smallest = cand, cycle
+    return None if smallest is None else (length, smallest)
+
+
+def bfs_graphs():
+    """`random_regular(n, 3 or 4)` with n <= 48, tori of side 3-7, and G(n, p)
+    graphs with n <= 16, among them forests and disconnected graphs."""
+    st = pytest.importorskip("hypothesis").strategies
+
+    @st.composite
+    def graphs(draw):
+        kind = draw(st.sampled_from(["regular", "torus", "gnp"]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        if kind == "torus":
+            return torus(draw(st.integers(3, 7)))
+        if kind == "gnp":
+            n = draw(st.integers(1, 16))
+            p = draw(st.sampled_from([0.08, 0.15, 0.3, 0.6]))
+            rng = Random(seed)
+            return Network.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        d = draw(st.sampled_from([3, 4]))
+        n = draw(st.integers(d + 1, 48))
+        return random_regular(n + (n * d) % 2, d, seed)
+
+    return graphs()
+
+
+def test_root_cycle_matches_the_queue_reference_at_every_root():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(bfs_graphs())
+    @hypothesis.example(Network.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]))
+    @hypothesis.example(path_graph(6))
+    def check(net):
+        adjacency = [list(nbrs) for nbrs in net.adjacency]
+        for limit in range(3, 10):
+            for root in range(net.node_count):
+                assert _root_cycle(adjacency, root, limit) == reference_root_cycle(adjacency, root, limit)
+
+    check()
+
+
+@pytest.mark.parametrize("side, g", [(10, 6), (12, 6), (16, 6), (12, 7), (16, 8)])
+def test_root_cycle_matches_the_queue_reference_mid_cut(monkeypatch, side, g):
+    # The adjacency states a bipartition-constrained torus cut passes
+    # through: after each swap, every root's scan equals the reference's at
+    # the cut's limit g - 1, and after every eighth swap at each limit 3-9.
+    swap = network._swap_and_rescan
+    states = 0
+
+    def checked(adjacency, found, g, *ends):
+        nonlocal states
+        swap(adjacency, found, g, *ends)
+        states += 1
+        for limit in range(3, 10) if states % 8 == 1 else (g - 1,):
+            for root in range(len(adjacency)):
+                assert _root_cycle(adjacency, root, limit) == reference_root_cycle(adjacency, root, limit)
+
+    monkeypatch.setattr(network, "_swap_and_rescan", checked)
+    net = torus(side)
+    try:
+        cut_short_cycles(net, g, CycleCutConstraint.preserve_bipartition(*two_coloring(net)))
+    except ConstructionError:
+        pass  # a side too small for the target still checks the swaps it made
+    assert states > 0
+
+
+def test_ball_matches_the_queue_reference_in_insertion_order():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(bfs_graphs(), st.data())
+    def check(net, data):
+        if net.node_count == 0:
+            return
+        nodes = st.integers(0, net.node_count - 1)
+        sources = data.draw(st.lists(nodes, min_size=1, max_size=4), label="sources")
+        for limit in (None, 0, 1, 2, 3, 4, 5, 6):
+            got = network._ball(net.adjacency, sources, limit)
+            assert list(got.items()) == list(reference_ball(net.adjacency, sources, limit).items())
+
+    check()
+
+
 # -- JSON interchange
 
 

@@ -8,6 +8,7 @@ from netgame.game import pgg_game
 from netgame.lvl import compile_lvl, verify
 from netgame.network import Network, random_regular, ring, torus
 from netgame.simgame import (
+    BallView,
     SimulationAction,
     _check_opening_round,
     _forms_proper_map,
@@ -23,6 +24,8 @@ from netgame.simgame import (
     simulation_report,
     simulation_utility,
 )
+from conftest import path_graph
+from test_network import reference_ball
 
 HALF = Fraction(1, 2)
 
@@ -190,6 +193,101 @@ def test_adjacent_centers_never_both_produce_on_colored_paths():
             outputs.append(make_action(sim, v, coloring).output)
         for u in range(n - 1):
             assert not (outputs[u] == "P" and outputs[u + 1] == "P")
+
+
+def reference_decide(t):
+    """`greedy_mis_normal_form`'s rule with no cache: each truncated run
+    searches its ``t - 1``-ball afresh and tests only neighbors inside it."""
+
+    def truncated_join(view, coloring, x):
+        dist = reference_ball(view.adjacency, (x,), t - 1)
+        joined = set()
+        for w in sorted(dist, key=lambda w: coloring[w]):
+            if not any(y in joined for y in view.adjacency[w] if y in dist):
+                joined.add(w)
+        return x in joined
+
+    def decide(view, coloring):
+        center = view.center
+        if not truncated_join(view, coloring, center):
+            return "F"
+        for u in view.adjacency[center]:
+            if coloring[u] < coloring[center] and truncated_join(view, coloring, u):
+                return "F"
+        return "P"
+
+    return decide
+
+
+def test_cached_rule_matches_the_uncached_rule_on_random_colorings():
+    # Several colorings per ball, so later ones read the views the first
+    # filled. A ring or path longer than the radius t - 1 (4 at degree
+    # bound 2, 9 at 3) is wider than its runs. A run differs from one of
+    # radius t only along a color chain that descends all the way from x
+    # to the ball's edge, which random colorings almost never hold, so
+    # colors also rise or fall along the node indices from a random start.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        kind = draw(st.sampled_from(["ring", "path", "torus", "cubic"]))
+        if kind == "ring":
+            return ring(draw(st.integers(5, 40))), draw(st.sampled_from([2, 3]))
+        if kind == "path":
+            return path_graph(draw(st.integers(2, 30))), draw(st.sampled_from([2, 3]))
+        if kind == "torus":
+            return torus(draw(st.integers(3, 5))), 4
+        n = draw(st.integers(4, 20))
+        return random_regular(n + n % 2, 3, draw(st.integers(0, 2**32 - 1))), 3
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(graphs(), st.sampled_from(["random", "rising", "falling"]), st.integers(0, 2**32 - 1))
+    @hypothesis.example((ring(20), 2), "random", 0)
+    @hypothesis.example((ring(30), 3), "rising", 0)
+    def check(case, colors_by, seed):
+        net, delta = case
+        n = net.node_count
+        sim = build_simulation_game(pgg_game(net, HALF), greedy_mis_normal_form(delta))
+        reference = reference_decide(sim.algorithm.t)
+        rng = Random(seed)
+        for _ in range(4):
+            colors = rng.sample(range(1, 10_000), n)
+            if colors_by != "random":
+                start = rng.randrange(n)
+                rank = sorted(colors, reverse=colors_by == "falling")
+                colors = [rank[(w - start) % n] for w in range(n)]
+            for view in sim.balls:
+                coloring = {w: colors[w] for w in view.order}
+                assert sim.algorithm.decide(view, coloring) == reference(view, coloring)
+
+    check()
+
+
+def test_sims_built_from_one_algorithm_share_no_cached_view():
+    algorithm = greedy_mis_normal_form(2)
+    reference = reference_decide(algorithm.t)
+    first = build_simulation_game(pgg_game(ring(12), HALF), algorithm)
+    second = build_simulation_game(pgg_game(path_graph(12), HALF), algorithm)
+    colors = Random(5).sample(range(1, 10_000), 12)
+    for sim in (first, second):  # the first sim's views are filled before the second runs
+        for view in sim.balls:
+            coloring = {w: colors[w] for w in view.order}
+            assert sim.algorithm.decide(view, coloring) == reference(view, coloring)
+            assert view.inner
+            for (x, depth), nodes in view.inner.items():
+                assert nodes == tuple(reference_ball(view.adjacency, (x,), depth))
+    assert not {id(view.inner) for view in first.balls} & {id(view.inner) for view in second.balls}
+    assert first.balls[0] != second.balls[0]  # a ring's ball and a path's end differ
+
+
+def test_ball_view_cache_takes_no_part_in_equality(ring64_sim):
+    net = ring64_sim.network
+    filled, bare = BallView.extract(net, 3, 5), BallView.extract(net, 3, 5)
+    assert filled.within(3, 4) == tuple(reference_ball(filled.adjacency, (3,), 4))
+    assert filled.within(3, 4) is filled.within(3, 4)
+    assert filled.inner and not bare.inner
+    assert filled == bare and repr(filled) == repr(bare)
 
 
 def test_make_action_validates_coloring(ring64_sim):
