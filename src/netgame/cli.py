@@ -3,7 +3,7 @@
 Exit status: 0 on success, 1 on guard or validation errors (one-line
 diagnostic naming the violated precondition), 2 on usage errors. Every
 output file embeds the resolved configuration and seeds in a ``meta``
-block, a ``run --config`` the config in place of the run flags it overrides;
+block, a ``run --config`` the config in place of the run flags it excludes;
 ``--deterministic`` suppresses the timestamp so identical runs produce
 byte-identical files. Rationals cross this boundary as ``"p/q"`` text,
 never as decimals.
@@ -12,7 +12,7 @@ Flags meet the checks of a config: ``run``'s flags become a config, the game
 flags of every command are a config's ``game`` section, and ``gen``'s flags a
 ``graph`` section (`_generate`), so a flag for a parameter the game or
 generator lacks is rejected with the flag's name; ``poa`` rejects a flag
-its ``--family`` does not read (`_POA_FLAGS`).
+its ``--family`` does not read (`_POA_FLAGS`), ``run --config`` any run flag.
 
 The argument parser is built once per process (`build_parser` is cached);
 ``parse_args`` keeps no state between calls.
@@ -176,6 +176,9 @@ def _read_config(path: str) -> dict:
 def _config_from_args(args: argparse.Namespace) -> dict:
     if args.graph_file is None:
         raise ValidationError("run needs --graph-file or --config")
+    for key, default in (("policy", "random"), ("init", "random"), ("seed", 0)):
+        if vars(args)[key] is None:
+            vars(args)[key] = default  # so that meta records it
     init = args.init
     if init != "random":
         try:
@@ -323,12 +326,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _read_config(args.config) if args.config is not None else _config_from_args(args)
+    if args.config is None:
+        config = _config_from_args(args)
+    else:
+        for key in ("game", "c", "k", "graph_file", "policy", "init", "seed", "max_rounds"):
+            if vars(args)[key] is not None:
+                raise ValidationError(f"--{key.replace('_', '-')} cannot be given with --config")
+        config = _read_config(args.config)
     run_args, resolved = _build_run(config)
-    extra = {}
-    if args.config is not None:  # meta records the config, not the run flags it overrides
-        vars(args).update(dict.fromkeys(("game", "c", "k", "graph_file", "policy", "init", "seed", "max_rounds")))
-        extra = {"config": resolved}
+    extra = {} if args.config is None else {"config": resolved}  # meta records the config
     trace = dynamics.run(*run_args)
     csv_text = dynamics.trace_to_csv(trace)
     meta = _meta(
@@ -500,11 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run fair-round best-response dynamics")
     game_flags(p, required=False)
     p.add_argument("--graph-file")
-    p.add_argument("--policy", choices=["random", "fixed"], default="random")
-    p.add_argument("--init", default="random", help="'random' or action indices 'i,j,...'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--policy", choices=["random", "fixed"], help="default: random")
+    p.add_argument("--init", help="'random' (the default) or action indices 'i,j,...'")
+    p.add_argument("--seed", type=int, help="default: 0")
     p.add_argument("--max-rounds", type=int)
-    p.add_argument("--config", help="experiment config JSON (overrides other flags)")
+    p.add_argument("--config", help="experiment config JSON, in place of the flags above")
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.add_argument("--profile-out", help="final profile JSON path")
     common(p)

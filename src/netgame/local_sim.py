@@ -8,11 +8,12 @@ classes ``1..palette`` in turn and therefore costs ``palette`` rounds of
 synchronous message passing; the greedy coloring below keeps the palette
 within ``max_degree**2 + 1``.
 
-The replay plays each round as one `BestResponseEngine.sweep` over the
-color-major, index-minor order. That equals moving each class at once: a
-switch changes the keys of the mover's neighbors only, and no neighbor of
-a class member is in its class, so no member's key changes while its class
-plays and every member responds to the profile as of the class start.
+The replay is `dynamics.run` under the color-major, index-minor order, so
+it meets exactly `run`'s checks and stops after a round without a switch.
+A fair round in that order equals moving each class at once: a switch
+changes the keys of the mover's neighbors only, and no neighbor of a class
+member is in its class, so no member's key changes while its class plays
+and every member responds to the profile as of the class start.
 
 Two nodes are within distance 2 iff they are adjacent or share a
 neighbor, so a coloring is proper iff every closed neighborhood is
@@ -20,9 +21,6 @@ rainbow (McCormick 1983). The coloring and its check read closed
 neighborhoods straight from the adjacency, as one integer color mask per
 node; a truncated BFS per node runs only when the check fails, to name
 the clash.
-
-Every switch runs the game kind's switch check (`BestResponseEngine.switch`)
-and every round its round check, as in `dynamics.run`.
 
 The coloring itself is computed centrally; reported round counts cover the
 schedule phase only and say so in output metadata.
@@ -32,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dynamics import FixedOrder, run
 from .errors import ValidationError
-from .game import BestResponseEngine, GraphicalGame, Profile, validate_profile
+from .game import GraphicalGame, Profile
 from .network import Network
 
 
@@ -129,26 +128,16 @@ def simulate_fair_rounds(
 
     Per round, classes are activated in color order; class members compute
     best responses against the profile as of class start and all update at
-    once, played as one engine sweep of the color-major index-minor order.
-    Returns the final profile and, per round, that order, whose sequential
-    replay produces the same profiles.
+    once: a round of `dynamics.run` under the color-major `FixedOrder`.
+    Returns the final profile and, per round, that order.
 
     Raises:
         ValidationError: if the coloring is not a proper distance-2
-            coloring of the game's network.
-        SimulationFault: if a switch or a round breaks a kind invariant.
+            coloring of the game's network, ``rounds`` is negative, or as `dynamics.run`.
+        SimulationFault: as `dynamics.run`.
     """
-    net = game.network
-    check_coloring(net, coloring)
-    validate_profile(game, init)
+    check_coloring(game.network, coloring)
     if rounds < 0:
         raise ValidationError("rounds must be >= 0")
-
-    order = tuple(sorted(range(net.node_count), key=coloring.colors.__getitem__))
-    engine = BestResponseEngine(game, init)
-    check_round = game.kind.check_round
-    for r in range(1, rounds + 1):
-        engine.sweep(order)
-        if check_round is not None:
-            check_round(game, engine.profile, r)
-    return tuple(engine.profile), [order] * rounds
+    order = tuple(sorted(range(game.network.node_count), key=coloring.colors.__getitem__))
+    return run(game, init, FixedOrder(order), rounds).final, [order] * rounds

@@ -104,14 +104,10 @@ class SimulationAction:
     Built only through `make_action`, which runs the algorithm itself, so
     the pairing invariant holds for every reachable instance. The empty
     action is represented by ``None`` wherever actions may appear.
-    ``color_of`` and ``node_of`` index the assignment by node and by color
-    (exact, as ball colors are distinct) and take no part in equality or hashing.
     """
 
     assignment: tuple[tuple[int, int], ...]
     output: object
-    color_of: dict[int, int] = field(compare=False, repr=False)
-    node_of: dict[int, int] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -208,10 +204,7 @@ def make_action(sim: SimulationGame, v: int, coloring: dict[int, int]) -> Simula
     if any(not 1 <= c <= sim.algorithm.palette for c in values):
         raise ValidationError("ball colors must lie in 1..palette")
     output = sim.algorithm.decide(view, coloring)
-    assignment = tuple(sorted(coloring.items()))
-    return SimulationAction(
-        assignment, output, dict(assignment), {c: w for w, c in assignment}
-    )
+    return SimulationAction(tuple(sorted(coloring.items())), output)
 
 
 def empty_profile(sim: SimulationGame) -> SimProfile:
@@ -236,11 +229,15 @@ def simulation_utility(sim: SimulationGame, v: int, profile: SimProfile) -> Frac
 def _pair_consistent(sim: SimulationGame, a: SimulationAction, b: SimulationAction) -> bool:
     """True iff ``a`` and ``b`` agree on shared nodes and no two nodes within
     the coloring radius share a color: a node of ``b`` outside ``a`` can only
-    clash with the one node of ``a`` holding its color."""
+    clash with the one node of ``a`` holding its color. ``a``'s coloring is
+    indexed by node and by color (exact, as ball colors are distinct), so
+    the check is linear in the balls."""
+    color_of = dict(a.assignment)
+    node_of = {c: w for w, c in a.assignment}
     for x, cx in b.assignment:
-        cw = a.color_of.get(x)
+        cw = color_of.get(x)
         if cw is None:
-            w = a.node_of.get(cx)
+            w = node_of.get(cx)
             if w is not None and x in sim.near_nodes[w]:
                 return False
         elif cw != cx:

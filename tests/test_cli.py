@@ -742,6 +742,31 @@ def test_flag_run_matches_config_run(tmp_path, flags, game, dyn):
         assert flag_meta["args"][key] == used[key]
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--game", "minority"), ("--c", "1/3"), ("--k", "3"), ("--graph-file", "g.json"),
+     ("--policy", "random"), ("--init", "random"), ("--seed", "0"), ("--max-rounds", "1")],
+)
+def test_config_run_rejects_each_run_flag(tmp_path, capsys, flag, value):
+    # Each flag is rejected even when it spells the config's own value or
+    # the flag's default: a config run reads no run flag.
+    path, csv, prof = tmp_path / "cfg.json", tmp_path / "t.csv", tmp_path / "p.json"
+    path.write_text(json.dumps(make_config(tmp_path)))
+    argv = ("run", "--config", str(path), flag, value, "--out", str(csv), "--profile-out", str(prof))
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} cannot be given with --config\n"
+    assert not csv.exists() and not prof.exists()
+
+
+def test_config_run_names_the_first_run_flag_given(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_config(tmp_path)))
+    argv = ("run", "--max-rounds", "1", "--config", str(path), "--seed", "2", "--graph-file", "nonexist.json",
+            "--game", "minority", "--deterministic", "--out", str(tmp_path / "t.csv"))
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: --game cannot be given with --config\n"
+
+
 # Robustness probe: graph files with the faults a hand-written file may
 # hold, fed to every subcommand that loads one. A case ends in exit 0, or in
 # exit 1 with one ``error:`` line, never in a traceback, within a time bound.

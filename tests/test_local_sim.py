@@ -7,8 +7,8 @@ import tracemalloc
 import pytest
 
 from netgame.errors import SimulationFault, ValidationError
-from netgame.dynamics import fair_round, step
-from netgame.game import BestResponseEngine, coloring_game, minority_game, pgg_game, random_profile
+from netgame.dynamics import FixedOrder, fair_round, run, step
+from netgame.game import BestResponseEngine, coloring_game, minority_game, pgg_game, random_profile, welfare
 from netgame.local_sim import (
     DistanceColoring,
     check_coloring,
@@ -246,7 +246,9 @@ def test_check_coloring_on_huge_colors():
 
 
 # Test-only reference: each class computes every member's move against the
-# profile as of the class start, then writes the moves one by one.
+# profile as of the class start, then writes the moves one by one. As
+# `dynamics.run`, it stops after the first round without a switch and, for a
+# kind with a cut count, reads the cut of each played profile from `welfare`.
 def reference_class_replay(game, init, coloring, rounds):
     classes: dict[int, list[int]] = {}
     for v in range(game.network.node_count):
@@ -254,14 +256,29 @@ def reference_class_replay(game, init, coloring, rounds):
     schedule = [classes[color] for color in sorted(classes)]
     engine = BestResponseEngine(game, init)
     prof, key, table, entry = engine.profile, engine.key, engine.table, engine.entry
+    played = [tuple(prof)]
     for r in range(1, rounds + 1):
+        switches = 0
         for members in schedule:
             moves = [(table.get(key[v]) or entry(v, key[v]))[1][prof[v]] for v in members]
             for v, choice in zip(members, moves):
                 if choice != prof[v]:
                     engine.switch(v, choice)
+                    switches += 1
         if game.kind.check_round is not None:
             game.kind.check_round(game, prof, r)
+        played.append(tuple(prof))
+        if switches == 0:
+            break
+    if game.kind.cut_edges is not None:
+        net = game.network
+        for r, p in enumerate(played):
+            cut = (welfare(game, p) - net.node_count + 2 * net.edge_count) / 4
+            if cut.denominator != 1:
+                raise SimulationFault(f"welfare {welfare(game, p)} after round {r} gives a fractional cut {cut}")
+        counted = game.kind.cut_edges(game, played[-1])
+        if counted != cut:
+            raise SimulationFault(f"cut after round {r} read from welfare is {cut}, counted {counted}")
     order = tuple(v for members in schedule for v in members)
     return tuple(prof), [order] * rounds
 
@@ -322,3 +339,69 @@ def test_replay_sweep_faults_as_the_reference(name, init):
     want = replay_outcome(reference_class_replay, game, init, coloring, 2)
     assert want.startswith("fault: ")
     assert replay_outcome(simulate_fair_rounds, game, init, coloring, 2) == want
+
+
+def colour_major(coloring):
+    return tuple(sorted(range(len(coloring.colors)), key=coloring.colors.__getitem__))
+
+
+def run_outcome(game, init, coloring, rounds):
+    try:
+        return run(game, init, FixedOrder(colour_major(coloring)), rounds).final
+    except SimulationFault as exc:
+        return f"fault: {exc}"
+
+
+def test_replay_reads_the_cut_from_the_welfare_as_run_does():
+    # A coordination utility under the anti-coordination kind, from all
+    # zeros: no switch, so no switch check runs, but its welfare reads a cut
+    # of 3 where the kind counts 0.
+    net = ring(6)
+    g = minority_game(net)
+    inverted = replace(g, utility_fn=lambda v, own, nbrs: -g.utility_fn(v, own, nbrs))
+    coloring, init = distance_coloring(net), (0,) * 6
+    want = "fault: cut after round 1 read from welfare is 3, counted 0"
+    assert run_outcome(inverted, init, coloring, 1) == want
+    assert replay_outcome(simulate_fair_rounds, inverted, init, coloring, 1) == want
+
+
+def test_replay_stops_after_a_zero_switch_round_as_run_does():
+    # A never-produce utility under the pgg kind, from all-F: round 1 has no
+    # switch, so the round-2 maximality check that would fail never runs.
+    net = ring(6)
+    never = replace(pgg_game(net, HALF), utility_fn=lambda v, own, nbrs: Fraction(own == "F"))
+    coloring, init = distance_coloring(net), (0,) * 6
+    assert run_outcome(never, init, coloring, 2) == init
+    assert simulate_fair_rounds(never, init, coloring, 2) == (init, [colour_major(coloring)] * 2)
+
+
+@pytest.mark.parametrize("kind", ["pgg", "minority", "coloring"])
+def test_rounds_past_convergence_replay_the_converged_profile(kind):
+    net = random_regular(40, 3, seed=6)
+    game, coloring = replay_game(kind, net), distance_coloring(net)
+    init = random_profile(game, Random(2))
+    trace = run(game, init, FixedOrder(colour_major(coloring)), 50)
+    assert trace.converged
+    settled = trace.convergence_round + 1
+    final, _ = simulate_fair_rounds(game, init, coloring, settled)
+    assert final == trace.final
+    for rounds in (settled + 1, settled + 5, 50):
+        assert simulate_fair_rounds(game, init, coloring, rounds)[0] == final
+
+
+@pytest.mark.parametrize(
+    "coloring, init, rounds, message",
+    [
+        (DistanceColoring(colors=(1, 1, 2, 3, 2, 3), palette_size=3), (0,) * 6, 1,
+         "nodes 0 and 1 at distance 1 share color 1"),
+        (DistanceColoring(colors=(1, 2, 3), palette_size=3), (0,) * 6, 1,
+         "coloring length does not match the network"),
+        (None, (0,) * 5, 1, "profile has 5 entries for 6 nodes"),
+        (None, (0, 0, 2, 0, 0, 0), 1, "profile entry 2 invalid for node 2"),
+        (None, (0,) * 6, -1, "rounds must be >= 0"),
+    ],
+)
+def test_replay_input_faults_keep_their_messages(coloring, init, rounds, message):
+    game = pgg_game(ring(6), HALF)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        simulate_fair_rounds(game, init, coloring or distance_coloring(ring(6)), rounds)

@@ -320,10 +320,8 @@ def test_make_action_indexes_the_assignment(ring64_sim):
     a = make_action(sim, 7, coloring)
     b = make_action(sim, 7, dict(reversed(coloring.items())))
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a.color_of == coloring
-    assert a.node_of == {c: w for w, c in coloring.items()}
-    # the indexes take no part in equality, hashing or repr
-    bare = SimulationAction(a.assignment, a.output, {}, {})
+    assert dict(a.assignment) == coloring
+    bare = SimulationAction(a.assignment, a.output)
     assert bare == a and hash(bare) == hash(a) and repr(bare) == repr(a)
 
 
@@ -436,7 +434,7 @@ def test_constructive_best_response_on_partly_played_profiles(ring64_sim, played
     fixed = {x: c for u in played for x, c in profile[u].assignment}
     assert any(w not in fixed for w in sim.balls[0].order)
     profile[0] = constructive_best_response(sim, 0, merged_coloring(sim, profile))
-    assert profile[0].color_of == reference_best_response_colors(sim, 0, fixed)
+    assert dict(profile[0].assignment) == reference_best_response_colors(sim, 0, fixed)
     assert simulation_utility(sim, 0, tuple(profile)) == 1
 
 
@@ -462,9 +460,10 @@ def recolored(sim, profile, colors):
     """``profile`` with every owner of a node in ``colors`` recolored there."""
     out = list(profile)
     for u, action in enumerate(profile):
-        if action is not None and any(x in colors for x in action.color_of):
-            changes = {x: c for x, c in colors.items() if x in action.color_of}
-            out[u] = make_action(sim, u, {**action.color_of, **changes})
+        held = {} if action is None else dict(action.assignment)
+        if any(x in colors for x in held):
+            changes = {x: c for x, c in colors.items() if x in held}
+            out[u] = make_action(sim, u, {**held, **changes})
     return tuple(out)
 
 
@@ -482,7 +481,7 @@ def test_opening_check_matches_the_utility_scan_on_injected_faults(ring64_sim):
         w = rng.choice(ball_u)
         faulty = {
             # u alone recolors a node that its neighbors also color
-            "shared-node": good[:u] + (make_action(sim, u, {**good[u].color_of, w: palette}),) + good[u + 1:],
+            "shared-node": good[:u] + (make_action(sim, u, {**dict(good[u].assignment), w: palette}),) + good[u + 1:],
             # x and the node 2t+2 (or 2t+3) along the ring share a fresh color
             "distance 2t+2": recolored(sim, good, {x: palette, (x + 2 * t + 2) % 64: palette}),
             "distance 2t+3": recolored(sim, good, {x: palette, (x + 2 * t + 3) % 64: palette}),
@@ -514,7 +513,7 @@ def test_opening_check_matches_the_utility_scan_on_random_recolorings(ring64_sim
     def check(edits):
         profile = list(base)
         for u, i, c in edits:
-            coloring = dict(profile[u].color_of)
+            coloring = dict(profile[u].assignment)
             w = sim.balls[u].order[i]
             swap = next((y for y, cy in coloring.items() if cy == c), None)
             if swap is not None:
@@ -594,7 +593,7 @@ def test_opening_round_reports_an_injected_response_at_its_end(ring64_sim, monke
         if v == bad:
             shared = [w for w in sim.balls[v].order if w in published]
             w = rng.choice(shared)
-            action = make_action(sim, v, {**action.color_of, w: palette})
+            action = make_action(sim, v, {**dict(action.assignment), w: palette})
         played[v] = action
         return action
 
