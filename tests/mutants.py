@@ -2,8 +2,7 @@
 
 Run from the root of a source checkout, after Tier-1 passes:
 
-    python tests/mutants.py             # every mutant
-    python tests/mutants.py -k replay   # the mutants whose name holds "replay"
+    python tests/mutants.py
 
 Each mutant replaces one text, which must occur exactly once in its file,
 in a temporary copy of ``src/``; the checkout is never written. Its test
@@ -22,7 +21,6 @@ dependencies; its name keeps pytest from collecting it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -85,12 +83,12 @@ MUTANTS = (
         ("test_network.py",), KILLED,
     ),
     Mutant(
-        "shuffle draws one value too many", "seeds.py",
+        "shuffle accepts a draw equal to n", "seeds.py",
         "while j >= n:", "while j > n:",
         ("test_seeds.py",), KILLED,
     ),
     Mutant(
-        "verify keys read from a stale labeling", "lvl.py",
+        "verify keys read from an all-zero labeling", "lvl.py",
         "zip(engine.keys(labels), labels)", "zip(engine.keys([0] * len(labels)), labels)",
         ("test_lvl.py",), KILLED,
     ),
@@ -225,13 +223,8 @@ def killed(mutant: Mutant, scratch: Path) -> bool:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", default="", help="run only the mutants whose name holds this text")
-    args = parser.parse_args()
     wrong = 0
     for mutant in MUTANTS:
-        if args.k not in mutant.name:
-            continue
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="netgame-mutant-") as scratch:
             caught = killed(mutant, Path(scratch))
