@@ -114,7 +114,10 @@ def enumerate_ne(game: GraphicalGame) -> NeReport:
     the solutions of a constraint problem on the graph and the welfare
     optimum a maximization over it (Gottlob, Greco and Scarcello, JAIR 2005):
     `_search` finds the first by backtracking and the second by branch and
-    bound, on the payoff table of a `BestResponseEngine`. The equilibria are
+    bound, on the payoff table of a `BestResponseEngine`. The game is
+    succinct, so a partly assigned neighborhood already caps what a node can
+    earn: the bound sums those caps, never less than any completion's
+    welfare, and the optimum stays exact. The equilibria are
     sorted at the end, into lexicographic order. Like the engine, this needs
     one action list for all nodes.
 
@@ -152,14 +155,20 @@ def _search(engine: BestResponseEngine) -> tuple[list[Profile], list[int], int]:
     present, so ``den`` is final. One depth-first walk then assigns the nodes
     in `_cuthill_mckee` order, keeps each node's partial key, and reads a
     node's row as soon as its closed neighborhood is assigned; a None entry
-    ends the branch, and so does a branch whose welfare, each unfinished node
-    bounded by its degree's largest table payoff, cannot exceed ``best``. It
-    runs twice. The first run reads ``settled``, whose entries are None off
-    the preferred response, from a ``best`` below every profile's welfare:
-    it backtracks over the equilibria and collects each. The second reads
-    ``pays`` from the best equilibrium welfare (else the all-zero profile's)
-    and raises ``best`` at each profile it completes: branch and bound for
-    the optimum.
+    ends the branch. It runs twice. The first run reads ``settled``, whose
+    entries are None off the preferred response: it backtracks over the
+    equilibria and collects each. The second reads ``pays`` from the best
+    equilibrium welfare (else the all-zero profile's) and raises ``best`` at
+    each profile it completes: branch and bound for the optimum. It ends a
+    branch whose bound, the payoffs of the finished nodes plus the `_caps`
+    of the unfinished ones at their partial keys, cannot exceed ``best``.
+    No completion of a branch pays an unfinished node more than its cap, and
+    the caps are integers over the final ``den``, so the bound never ends a
+    branch that holds a better profile, and ``best`` is exact. A step
+    changes the partial keys of the stepped node's closed neighborhood only,
+    so the sum of caps is updated over that neighborhood. The caps are built
+    only when the second run starts, and only it keeps their sum: the first
+    run needs no bound.
     """
     nbrs, weight, table = engine.nbrs, engine.weight, engine.table
     k, n = len(engine.acts), len(nbrs)
@@ -176,24 +185,31 @@ def _search(engine: BestResponseEngine) -> tuple[list[Profile], list[int], int]:
     # settled[key][a] is pays[key][a] if a is the preferred response at key, else None.
     settled = {key: [x if pref[a] == a else None for a, x in enumerate(p)]
                for key, (p, pref) in table.items()}
-    top = {d: max(max(pays[key]) for key in ks) for d, ks in keys.items()}
-    low = {d: min(min(pays[key]) for key in ks) for d, ks in keys.items()}
     order = _cuthill_mckee(nbrs)
     pos = {v: i for i, v in enumerate(order)}
     finished: list[list[int]] = [[] for _ in order]  # by the step that completes them
     for v, nb in enumerate(nbrs):
         finished[max([pos[v], *(pos[u] for u in nb)])].append(v)
-    rest = [0] * (n + 1)  # bound on the payoffs of the nodes finished from step i on
-    for i in reversed(range(n)):
-        rest[i] = rest[i + 1] + sum(top[len(nbrs[x])] for x in finished[i])
-    steps = [(order[i], nbrs[order[i]], finished[i], rest[i + 1]) for i in range(n)]
-    prof, partial = [0] * n, [0] * n  # partial: the neighbor-count keys so far
+    steps = []
+    for v, fin in zip(order, finished):
+        closed = (v, *nbrs[v])  # a step finishes nodes of these only
+        steps.append((v, nbrs[v], fin, closed, [x for x in closed if x not in fin]))
+    # prof: k until assigned, which reads a cap row's entry for any action;
+    # partial: the neighbor-count keys so far.
+    prof, partial = [k] * n, [0] * n
+    caps: list[dict[int, list[int]]] = []  # per node; filled when the branch and bound starts
     equilibria: list[Profile] = []
     ne_welfare: list[int] = []
 
-    def walk(rows: dict, i: int, total: int) -> None:
+    def walk(rows: dict, i: int, total: int, bound: int) -> None:
+        # bound: the caps of the nodes unfinished before this step, summed;
+        # kept by the second run only. The last step finishes every node, so
+        # there c is 0 and t is the profile's welfare.
         nonlocal best
-        v, nb, fin, bound = steps[i]
+        v, nb, fin, closed, live = steps[i]
+        if rows is pays:
+            for x in closed:
+                bound -= caps[x][partial[x]][prof[x]]
         for a in range(k):
             prof[v] = a
             w = weight[a]
@@ -206,23 +222,55 @@ def _search(engine: BestResponseEngine) -> tuple[list[Profile], list[int], int]:
                     break
                 t += p
             else:
-                if t + bound > best:
+                if rows is settled:
                     if i + 1 < n:
-                        walk(rows, i + 1, t)
-                    elif rows is pays:
-                        best = t
+                        walk(rows, i + 1, t, 0)
                     else:
                         equilibria.append(tuple(prof))
                         ne_welfare.append(t)
+                else:
+                    c = bound
+                    for x in live:
+                        c += caps[x][partial[x]][prof[x]]
+                    if t + c > best:
+                        if i + 1 < n:
+                            walk(rows, i + 1, t, c)
+                        else:
+                            best = t
             for u in nb:
                 partial[u] -= w
+        prof[v] = k
 
-    best = sum(low[len(nb)] for nb in nbrs) - 1  # below every profile's welfare
-    walk(settled, 0, 0)
+    walk(settled, 0, 0, 0)
     best = max(ne_welfare, default=zero)
-    if rest[0] > best:
-        walk(pays, 0, 0)
+    top = {d: max(max(pays[key]) for key in ks) for d, ks in keys.items()}
+    bound = sum(top[len(nb)] for nb in nbrs)  # every node's cap before any step
+    if bound > best:
+        by_degree = {d: _caps(pays, weight, d) for d in keys}
+        caps.extend(by_degree[len(nb)] for nb in nbrs)
+        walk(pays, 0, 0, bound)
     return equilibria, ne_welfare, best
+
+
+def _caps(pays: dict[int, list[int]], weight: list[int], d: int) -> dict[int, list[int]]:
+    """A degree-``d`` node's caps, by the partial key ``p`` of its assigned
+    neighbors: entry ``a`` of ``p``'s row is the largest payoff for action
+    ``a`` over the full keys that extend ``p``, and the extra last entry, at
+    index ``k = len(weight)``, the largest over every action: the cap of a
+    node whose own action is not assigned yet. Built one neighbor count at a
+    time, down from the full keys: ``cap[p]`` is the entrywise maximum of
+    ``cap[p + weight[b]]`` over the actions ``b``.
+    """
+    k = len(weight)
+    caps: dict[int, list[int]] = {}
+    for m in reversed(range(d + 1)):
+        for labels in combinations_with_replacement(range(k), m):
+            p = sum(map(weight.__getitem__, labels))
+            if m == d:
+                caps[p] = [*pays[p], max(pays[p])]
+            else:
+                caps[p] = [max(col) for col in zip(*[caps[p + w] for w in weight])]
+    return caps
 
 
 def _cuthill_mckee(nbrs) -> list[int]:

@@ -49,10 +49,15 @@ def randbelow_each(rng: Random, bounds: Iterable[int]) -> list[int]:
 def shuffle(rng: Random, x: list) -> None:
     """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does."""
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
-        j = getrandbits(k)
-        while j >= n:
+    hi = len(x) - 1
+    while hi > 0:
+        # Position i draws below n = i + 1 with n.bit_length() bits, k for the
+        # whole run of i from hi down to 2**(k - 1) - 1.
+        k = (hi + 1).bit_length()
+        lo = (1 << (k - 1)) - 2
+        for i in range(hi, lo, -1):
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        hi = lo

@@ -71,10 +71,30 @@ MUTANTS = (
     # -- the exhaustive search
     Mutant(
         "branch and bound at a tie", "oracle.py",
-        "if rest[0] > best:", "if rest[0] >= best:",
+        "if t + c > best:", "if t + c >= best:",
         ("test_oracle.py",),
         "equivalent, because a walk of the paying profiles that cannot beat the best "
         "welfare found changes the work, not the output; no test counts search nodes",
+    ),
+    Mutant(
+        "caps built at a tie", "oracle.py",
+        "if bound > best:", "if bound >= best:",
+        ("test_oracle.py",), KILLED,
+    ),
+    Mutant(
+        "cap recurrence takes the min", "oracle.py",
+        "[max(col) for col in zip(", "[min(col) for col in zip(",
+        ("test_oracle.py",), KILLED,
+    ),
+    Mutant(
+        "unassigned node capped by action 0's row", "oracle.py",
+        "caps[p] = [*pays[p], max(pays[p])]", "caps[p] = [*pays[p], pays[p][0]]",
+        ("test_oracle.py",), KILLED,
+    ),
+    Mutant(
+        "bound update skips a finishing node's old cap", "oracle.py",
+        "for x in closed:\n                bound -=", "for x in live:\n                bound -=",
+        ("test_oracle.py",), KILLED,
     ),
     # -- graph files, seeds and the verifier
     Mutant(
@@ -84,7 +104,7 @@ MUTANTS = (
     ),
     Mutant(
         "shuffle accepts a draw equal to n", "seeds.py",
-        "while j >= n:", "while j > n:",
+        "while j > i:", "while j > i + 1:",
         ("test_seeds.py",), KILLED,
     ),
     Mutant(

@@ -8,7 +8,9 @@ import pytest
 from netgame.errors import GuardError, ValidationError
 from netgame.dynamics import fair_round
 from netgame.game import (
+    GAME_KINDS,
     BestResponseEngine,
+    GraphicalGame,
     coloring_game,
     is_nash_equilibrium,
     minority_game,
@@ -26,6 +28,9 @@ from netgame.network import (
     torus,
 )
 from netgame.oracle import (
+    _caps,
+    _cuthill_mckee,
+    _search,
     combinatorial_optima,
     domination_number,
     enumerate_ne,
@@ -133,6 +138,192 @@ def test_enumeration_agrees_with_verifier(atlas5):
                 assert (profile in listed) == verify(spec, net, profile).accepted
             assert listed == {p for p in profiles if is_nash_equilibrium(g, p)}
             assert report.best_welfare == max(welfare(g, p) for p in profiles)
+
+
+def reference_search(engine):
+    """`oracle._search` before the caps: the branch and bound bounds each
+    unfinished node by its degree's largest table payoff until its closed
+    neighborhood is assigned."""
+    nbrs, weight, table = engine.nbrs, engine.weight, engine.table
+    k, n = len(engine.acts), len(nbrs)
+    degrees = {len(nb): v for v, nb in enumerate(nbrs)}
+    keys = {d: [engine.key_of(labels) for labels in itertools.combinations_with_replacement(range(k), d)]
+            for d in degrees}
+    for d, v in degrees.items():
+        for key in keys[d]:
+            engine.entry(v, key)
+    pays = {key: p for key, (p, _) in table.items()}
+    zero = sum(pays[keys[len(nb)][0]][0] for nb in nbrs)
+    if k < 2:
+        return [(0,) * n], [zero], zero
+    settled = {key: [x if pref[a] == a else None for a, x in enumerate(p)]
+               for key, (p, pref) in table.items()}
+    top = {d: max(max(pays[key]) for key in ks) for d, ks in keys.items()}
+    low = {d: min(min(pays[key]) for key in ks) for d, ks in keys.items()}
+    order = _cuthill_mckee(nbrs)
+    pos = {v: i for i, v in enumerate(order)}
+    finished = [[] for _ in order]
+    for v, nb in enumerate(nbrs):
+        finished[max([pos[v], *(pos[u] for u in nb)])].append(v)
+    rest = [0] * (n + 1)
+    for i in reversed(range(n)):
+        rest[i] = rest[i + 1] + sum(top[len(nbrs[x])] for x in finished[i])
+    steps = [(order[i], nbrs[order[i]], finished[i], rest[i + 1]) for i in range(n)]
+    prof, partial = [0] * n, [0] * n
+    equilibria, ne_welfare = [], []
+
+    def walk(rows, i, total):
+        nonlocal best
+        v, nb, fin, bound = steps[i]
+        for a in range(k):
+            prof[v] = a
+            w = weight[a]
+            for u in nb:
+                partial[u] += w
+            t = total
+            for x in fin:
+                p = rows[partial[x]][prof[x]]
+                if p is None:
+                    break
+                t += p
+            else:
+                if t + bound > best:
+                    if i + 1 < n:
+                        walk(rows, i + 1, t)
+                    elif rows is pays:
+                        best = t
+                    else:
+                        equilibria.append(tuple(prof))
+                        ne_welfare.append(t)
+            for u in nb:
+                partial[u] -= w
+
+    best = sum(low[len(nb)] for nb in nbrs) - 1
+    walk(settled, 0, 0)
+    best = max(ne_welfare, default=zero)
+    if rest[0] > best:
+        walk(pays, 0, 0)
+    return equilibria, ne_welfare, best
+
+
+# Negative, fractional and tied payoffs: a few values, so that ties are common.
+TABLE_VALUES = (Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                Fraction(1), Fraction(7, 3))
+
+
+def table_game(net, k, values):
+    """A game whose payoff is ``values[own, counts]``, ``counts`` the number
+    of neighbors playing each action: anonymous, as the engine needs."""
+
+    def utility_fn(v, own, nbrs):
+        return values[own, tuple(nbrs.count(a) for a in range(k))]
+
+    return GraphicalGame(net, (tuple(range(k)),) * net.node_count, utility_fn, GAME_KINDS["coloring"], {})
+
+
+def test_capped_search_matches_the_reference_search():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def games(draw):
+        k = draw(st.integers(2, 4))
+        most = {2: 12, 3: 8, 4: 6}[k]  # at most 4096 profiles
+        shape = draw(st.sampled_from(["ring", "path", "cubic", "gnp"]))
+        if shape == "ring":
+            net = ring(draw(st.integers(3, most)))
+        elif shape == "path":
+            net = path_graph(draw(st.integers(1, most)))
+        elif shape == "cubic":
+            net = random_regular(draw(st.sampled_from(range(4, most + 1, 2))), 3, draw(st.integers(0, 99)))
+        else:  # isolated nodes and mixed degrees
+            n = draw(st.integers(1, most))
+            p = draw(st.sampled_from([0.2, 0.4, 0.7]))
+            rng = Random(draw(st.integers(0, 2**32 - 1)))
+            net = Network.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        values = {}
+        for d in sorted({len(nb) for nb in net.adjacency}):
+            for labels in itertools.combinations_with_replacement(range(k), d):
+                counts = tuple(labels.count(a) for a in range(k))
+                for own in range(k):
+                    values[own, counts] = draw(st.sampled_from(TABLE_VALUES))
+        return table_game(net, k, values)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(games())
+    def check(game):
+        equilibria, ne_welfare, best = _search(BestResponseEngine(game))
+        assert (equilibria, ne_welfare, best) == reference_search(BestResponseEngine(game))
+
+    check()
+
+
+def test_caps_are_the_largest_payoff_over_every_completion():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def tables(draw):
+        k, d = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+        radix = d + 1 + draw(st.integers(0, 2))  # the network's largest degree may exceed d
+        weight = [radix**a for a in range(k)]
+        pays = {sum(weight[a] for a in labels): draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+                for labels in itertools.combinations_with_replacement(range(k), d)}
+        return pays, weight, d
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(tables())
+    def check(case):
+        pays, weight, d = case
+        k = len(weight)
+        want = {}
+        for m in range(d + 1):
+            for labels in itertools.combinations_with_replacement(range(k), m):
+                p = sum(weight[a] for a in labels)
+                rows = [pays[p + sum(weight[b] for b in rest)]
+                        for rest in itertools.combinations_with_replacement(range(k), d - m)]
+                row = [max(r[a] for r in rows) for a in range(k)]
+                want[p] = [*row, max(row)]
+        assert _caps(pays, weight, d) == want
+
+    check()
+
+
+def gift_game(net, k):
+    """Each node pays its action times its degree and gives twice its action
+    to each neighbor: all-zero is the one equilibrium, of welfare 0, and the
+    optimum is every node at ``k - 1``, of welfare ``(k - 1)`` times the
+    degree sum. So the branch and bound runs."""
+    return GraphicalGame(net, (tuple(range(k)),) * net.node_count,
+                         lambda v, own, nbrs: Fraction(2 * sum(nbrs) - len(nbrs) * own),
+                         GAME_KINDS["coloring"], {})
+
+
+@pytest.mark.parametrize("n, k", [(2, 1000), (3, 64)])
+def test_branch_and_bound_at_the_guard_edge(n, k):
+    # The caps come from the one-more-neighbor recurrence, k entries per key
+    # and action, not from a scan of every completion of every partial key.
+    net = path_graph(n)
+    report = enumerate_ne(gift_game(net, k))
+    assert report.equilibria == ((0,) * n,)
+    assert report.worst_ne_welfare == report.best_ne_welfare == 0
+    assert report.best_welfare == (k - 1) * 2 * net.edge_count
+
+
+def test_caps_are_built_only_for_the_branch_and_bound(monkeypatch):
+    built = []
+
+    def counted(pays, weight, d):
+        built.append(d)
+        return _caps(pays, weight, d)
+
+    monkeypatch.setattr("netgame.oracle._caps", counted)
+    # On the 3x3 torus a proper 3-coloring pays every node its top payoff,
+    # so the best equilibrium meets the bound and the branch and bound never runs.
+    enumerate_ne(coloring_game(torus(3), 3))
+    assert built == []
+    enumerate_ne(pgg_game(ring(6), HALF))
+    assert built == [2]
 
 
 def test_poa_at_least_one(atlas5):

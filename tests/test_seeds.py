@@ -34,6 +34,22 @@ def test_shuffle_and_randbelow_match_the_stdlib_draw_for_draw():
     check()
 
 
+# Every length up to 70, and each side of the lengths where the draw's bit
+# count changes: the shuffle draws in runs of one bit count.
+SHUFFLE_LENGTHS = sorted({*range(71), *(n for j in range(1, 15) for n in range(2**j - 2, 2**j + 2)), 10000})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_shuffle_runs_of_one_bit_count_match_the_stdlib(seed):
+    for length in SHUFFLE_LENGTHS:
+        ours, stdlib = Random(seed), Random(seed)
+        x, y = list(range(length)), list(range(length))
+        shuffle(ours, x)
+        stdlib.shuffle(y)
+        assert x == y, length
+        assert ours.getstate() == stdlib.getstate(), length
+
+
 def reference_random_regular(n: int, d: int, seed: int) -> Network:
     """The configuration model with wholesale rejection: a full stdlib
     shuffle per attempt, then a check of every pair from the front."""
